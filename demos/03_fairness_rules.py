@@ -40,5 +40,4 @@ print("  utilitarian welfare:", round(util.certificate.welfare, 3))
 print("\nGini of normalized returns (lower = more equal):")
 for name, res in (("veto-core", veto), ("max-quantile", quant),
                   ("egalitarian", egal), ("utilitarian", util)):
-    norm = harness.normalized_returns(res, pipe.poly, pipe.model.reward_vectors())
-    print(f"  {name:13s} {harness.gini(norm):.4f}")
+    print(f"  {name:13s} {harness.gini(res.returns):.4f}")

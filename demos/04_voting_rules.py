@@ -1,8 +1,8 @@
 """Voting rules as mixed-integer programs, with brute-force cross-checks.
 
 Plurality and alpha-approval maximize how many agents clear their own
-return threshold; both are small indicator MILPs solved by the built-in
-branch and bound.  On purpose-built instances their optima coincide with
+return threshold; both are small indicator MILPs solved by HiGHS
+branch-and-cut.  On purpose-built instances their optima coincide with
 classic combinatorial quantities, which gives exact oracles:
 
   * graphs: the plurality score equals the maximum independent set size;

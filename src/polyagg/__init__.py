@@ -28,7 +28,6 @@ from .harness import (
     RuleSpec,
     gini,
     nash_welfare,
-    normalized_returns,
     prepare,
     run_experiment,
     run_rule,

@@ -132,7 +132,7 @@ def _cmd_aggregate(args) -> int:
     if args.veto_order:
         params["order"] = [int(t) for t in args.veto_order.split(",")]
     result = harness.run_rule(args.rule, pipe, **params)
-    norm = harness.normalized_returns(result, pipe.poly, pipe.model.reward_vectors())
+    norm = result.returns  # normalized: the model's returns span [0, 1]
     spec = harness.ExperimentSpec(
         source={"file": str(args.momdp)},
         rules=(harness.RuleSpec(name=args.rule, params=params),),

@@ -30,7 +30,7 @@ class ConcaveRegionEmpty(PolyaggError):
 
 
 class MilpBudgetExhausted(PolyaggError):
-    """Branch-and-bound exhausted its node budget before proving optimality."""
+    """The MILP solver reached its node limit before proving optimality."""
 
 
 class SizeLimit(PolyaggError):

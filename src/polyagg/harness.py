@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import instances, lp, rules, volume
+from . import instances, rules, volume
 from .errors import PolyaggError, ZeroWelfare
 from .mdp import (
     Momdp,
@@ -35,20 +35,6 @@ from .mdp import (
 )
 
 DEFAULT_SAMPLES = 100_000
-
-
-def normalized_returns(result: rules.RuleResult, poly: OccupancyPolytope,
-                       reward_vectors) -> np.ndarray:
-    """Affinely map each agent's return onto [0, 1] via its LP extremes."""
-    r = np.atleast_2d(np.asarray(reward_vectors, dtype=float))
-    out = np.empty(r.shape[0])
-    for i in range(r.shape[0]):
-        lo_sol = lp.solve_lp(poly, (), lp.LinearObjective(r[i], lp.MINIMIZE))
-        hi_sol = lp.solve_lp(poly, (), lp.LinearObjective(r[i], lp.MAXIMIZE))
-        lo, hi = lo_sol.objective_value, hi_sol.objective_value
-        value = float(r[i] @ result.occupancy.flat)
-        out[i] = (value - lo) / (hi - lo) if hi - lo > 1e-12 else 0.0
-    return out
 
 
 def gini(returns) -> float:
@@ -270,7 +256,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
             failures.append({"seed": instance_seed, "stage": "prepare",
                              "error": type(exc).__name__, "message": str(exc)})
             continue
-        reward_vectors = pipe.model.reward_vectors()
         instance_doc = {"seed": instance_seed, "rules": {}}
         for rule_spec in spec.rules:
             t0 = time.perf_counter()
@@ -281,7 +266,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
                                  "error": type(exc).__name__, "message": str(exc)})
                 continue
             elapsed = time.perf_counter() - t0
-            norm = normalized_returns(result, pipe.poly, reward_vectors)
+            norm = result.returns  # normalized: the model's returns span [0, 1]
             row = MetricsRow(
                 rule=rule_spec.label(),
                 instance_seed=instance_seed,

@@ -1,9 +1,9 @@
 """Linear programming over the occupancy polytope.
 
 Provides plain LP solves with extra halfspace rows, utilitarian (Pareto)
-completion, iterative leximin, and a small deterministic branch-and-bound
-solver for mixed binary programs whose binaries gate linear rows over the
-occupancy variables.
+completion, iterative leximin, and mixed binary programs whose binaries gate
+linear rows over the occupancy variables, solved by HiGHS branch-and-cut
+(with an exhaustive enumeration oracle for cross-checks).
 
 A halfspace row is a pair ``(coeffs, bound)`` meaning ``coeffs @ d <= bound``.
 """
@@ -11,7 +11,6 @@ A halfspace row is a pair ``(coeffs, bound)`` meaning ``coeffs @ d <= bound``.
 from __future__ import annotations
 
 import enum
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +23,8 @@ MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
 
 FEAS_TOL = 1e-7
-INTEGRALITY_TOL = 1e-6
 BOUND_TOL = 1e-9
-DEFAULT_NODE_BUDGET = 10**6
+NODE_LIMIT = 10**6      # HiGHS branch-and-cut nodes before ITERATION_LIMIT
 MAX_BINARIES = 4096
 
 
@@ -156,13 +154,16 @@ def _measure_from_vector(x: np.ndarray, poly: OccupancyPolytope) -> OccupancyMea
     """Wrap an LP point as an occupancy table, clamping solver slack.
 
     HiGHS keeps primal feasibility to about 1e-7, so entries may dip that far
-    below zero; anything worse means a genuinely broken solve.
+    below zero; anything worse means a genuinely broken solve.  Clamping many
+    such entries adds up to more mass than the unit-mass tolerance allows, so
+    the clamped point is rescaled to unit mass.
     """
     x = np.asarray(x, dtype=float)
     if float(x.min(initial=0.0)) < -FEAS_TOL:
         raise LpFailure("LP point violates nonnegativity beyond solver tolerance")
+    x = np.clip(x, 0.0, None)
     shape = poly.table_shape or (1, poly.dim)
-    return OccupancyMeasure(table=np.clip(x, 0.0, None).reshape(shape))
+    return OccupancyMeasure(table=(x / x.sum()).reshape(shape))
 
 
 def feasible(poly: OccupancyPolytope, extra_rows) -> bool:
@@ -266,7 +267,7 @@ def _max_single(poly, r, target, unfixed, fixed, t_star) -> float:
     return sol.objective_value
 
 
-# --- branch and bound --------------------------------------------------------
+# --- indicator MILPs ---------------------------------------------------------
 
 
 def _relaxation_system(p: MilpProgram):
@@ -309,133 +310,39 @@ def _relaxation_system(p: MilpProgram):
     return c, a_ub, b_ub, a_eq, poly.b_eq
 
 
-def milp_solve(p: MilpProgram, node_budget: int = DEFAULT_NODE_BUDGET) -> Solution:
-    """Globally optimal solve by best-bound branch and bound on LP relaxations.
+def milp_solve(p: MilpProgram) -> Solution:
+    """Globally optimal solve by HiGHS branch-and-cut.
 
-    Branching picks the most fractional binary (ties to the lowest index);
-    the one-branch is enqueued first so ties in the best-bound heap dive
-    toward activated binaries.  The search is deterministic: node order,
-    branching, and incumbent updates depend only on the input.
+    One MILP over ``[d ; z]`` with z binary, then one LP with the binaries
+    pinned to the rounded assignment; the point and objective come from that
+    LP, so activation rows hold to LP tolerance rather than to the MILP's
+    integrality tolerance.  Deterministic: HiGHS runs with fixed options.
+    Reports ITERATION_LIMIT when HiGHS reaches ``NODE_LIMIT`` nodes.
     """
     nd, nz = p.base.dim, len(p.binaries)
     c, a_ub, b_ub, a_eq, b_eq = _relaxation_system(p)
-    if nz == 0:
-        res = _solver.lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-        if res.status == _solver.INFEASIBLE:
-            return Solution(status=SolveStatus.INFEASIBLE)
-        return Solution(
-            status=SolveStatus.OPTIMAL,
-            point=_measure_from_vector(res.x[:nd], p.base),
-            objective_value=float(-res.fun),
-            binary_assignment=(),
-        )
-
-    def solve_node(lo, hi):
-        bounds = [(None, None)] * nd + list(zip(lo, hi))
-        return _solver.lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds)
-
-    act_rows = np.stack([b.row_coeffs for b in p.binaries])
-    act_lbs = np.asarray([b.row_lb for b in p.binaries])
-    weights = np.asarray([b.weight for b in p.binaries])
-
-    def primal_heuristic(x, lo):
-        """Feasible assignment from a relaxation point: keep every binary whose
-        activation row already holds at the point (and any pinned to one).
-        Returns (value, full_x) or None when a tightening row blocks it."""
-        d = x[:nd]
-        z = ((act_rows @ d >= act_lbs - 1e-12) | (lo > 0.5)).astype(float)
-        for coeffs, ub in p.binary_rows:
-            if float(coeffs @ z) > ub + 1e-9:
-                return None
-        for dc, zc, ub in p.mixed_rows:
-            if float(dc @ d + zc @ z) > ub + 1e-9:
-                return None
-        value = float(weights @ z)
-        if p.d_coeffs is not None:
-            value += float(p.d_coeffs @ d)
-        return value, np.concatenate([d, z])
-
-    best_value = -np.inf
-    best_x = None
-    counter = 0
-    root_lo, root_hi = np.zeros(nz), np.ones(nz)
-    root = solve_node(root_lo, root_hi)
-    nodes = 1
-    if root.status == _solver.INFEASIBLE:
+    res = _solver.milp(
+        c, a_ub, b_ub, a_eq, b_eq,
+        lower=np.concatenate([np.full(nd, -np.inf), np.zeros(nz)]),
+        upper=np.concatenate([np.full(nd, np.inf), np.ones(nz)]),
+        integrality=np.concatenate([np.zeros(nd), np.ones(nz)]),
+        node_limit=NODE_LIMIT,
+    )
+    nodes = int(res.mip_node_count or 1)  # None or 0 when presolve alone solves it
+    if res.status == _solver.INFEASIBLE:
         return Solution(status=SolveStatus.INFEASIBLE, nodes=nodes)
-    heap = [(-float(-root.fun), counter, root_lo, root_hi, root)]
-    exhausted = False
-    # best-bound restarts from the heap; from each restart, dive depth-first
-    # toward the more promising child so incumbents (and pruning) arrive early
-    while heap and not exhausted:
-        neg_bound, _, lo, hi, res = heapq.heappop(heap)
-        if -neg_bound <= best_value + BOUND_TOL:
-            continue
-        while True:
-            if float(-res.fun) <= best_value + BOUND_TOL:
-                break
-            rounded = primal_heuristic(res.x, lo)
-            if rounded is not None and rounded[0] > best_value + BOUND_TOL:
-                best_value, best_x = rounded
-            if float(-res.fun) <= best_value + BOUND_TOL:
-                break
-            z = res.x[nd:]
-            frac = np.abs(z - np.round(z))
-            if float(frac.max(initial=0.0)) <= INTEGRALITY_TOL:
-                # verify by re-solving with the binaries pinned; a relaxation
-                # optimum integral only within rounding tolerance can still be
-                # infeasible once truly fixed, and must not become incumbent
-                z_fix = np.round(z)
-                fixed = solve_node(z_fix, z_fix)
-                nodes += 1
-                if fixed.status == _solver.OPTIMAL:
-                    value = float(-fixed.fun)
-                    if value > best_value + BOUND_TOL:
-                        best_value = value
-                        best_x = fixed.x
-                    break
-                # pinning failed: branch on the least-integral free binary
-            free = np.flatnonzero(lo < hi)
-            if free.size == 0 or nodes + 2 > node_budget:
-                exhausted = free.size > 0
-                break
-            j = int(free[np.argmin(np.abs(z[free] - 0.5))])
-            children = []
-            for branch_value in (1.0, 0.0):
-                child_lo, child_hi = lo.copy(), hi.copy()
-                child_lo[j] = child_hi[j] = branch_value
-                child = solve_node(child_lo, child_hi)
-                nodes += 1
-                if child.status == _solver.INFEASIBLE:
-                    continue
-                child_bound = float(-child.fun)
-                if child_bound <= best_value + BOUND_TOL:
-                    continue
-                children.append((child_bound, branch_value, child_lo, child_hi, child))
-            if not children:
-                break
-            children.sort(key=lambda c: (-c[0], -c[1]))
-            for child_bound, _, child_lo, child_hi, child in children[1:]:
-                counter += 1
-                heapq.heappush(
-                    heap, (-child_bound, counter, child_lo, child_hi, child)
-                )
-            _, _, lo, hi, res = children[0]
-    if exhausted:
-        status = SolveStatus.ITERATION_LIMIT
-    elif best_x is None:
-        # every leaf was infeasible, which the vacuous z = 0 assignment rules out
-        return Solution(status=SolveStatus.INFEASIBLE, nodes=nodes)
-    else:
-        status = SolveStatus.OPTIMAL
-    if best_x is None:
-        return Solution(status=status, nodes=nodes)
-    assignment = tuple(int(round(v)) for v in best_x[nd:])
+    if res.status == _solver.ITERATION_LIMIT:
+        return Solution(status=SolveStatus.ITERATION_LIMIT, nodes=nodes)
+    z = np.round(res.x[nd:])
+    bounds = [(None, None)] * nd + [(v, v) for v in z]
+    fixed = _solver.lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds)
+    if fixed.status != _solver.OPTIMAL:
+        raise LpFailure("MILP assignment is infeasible once its binaries are pinned")
     return Solution(
-        status=status,
-        point=_measure_from_vector(best_x[:nd], p.base),
-        objective_value=float(best_value),
-        binary_assignment=assignment,
+        status=SolveStatus.OPTIMAL,
+        point=_measure_from_vector(fixed.x[:nd], p.base),
+        objective_value=float(-fixed.fun),
+        binary_assignment=tuple(int(v) for v in z),
         nodes=nodes,
     )
 
@@ -443,8 +350,8 @@ def milp_solve(p: MilpProgram, node_budget: int = DEFAULT_NODE_BUDGET) -> Soluti
 def enumerate_milp(p: MilpProgram) -> Solution:
     """Exhaustive oracle: check every binary assignment with one LP each.
 
-    Independent of the branch-and-bound path; intended for cross-checking on
-    programs with few binaries.
+    Independent of the HiGHS MILP path of :func:`milp_solve`; intended for
+    cross-checking on programs with few binaries.
     """
     nz = len(p.binaries)
     if nz > 20:

@@ -322,7 +322,6 @@ def alpha_approval(
     poly: OccupancyPolytope,
     cdfs: list[ReturnCdf] | None,
     alpha: float,
-    node_budget: int = lp.DEFAULT_NODE_BUDGET,
 ) -> RuleResult:
     """Maximize the number of agents whose return clears their alpha-quantile.
 
@@ -336,9 +335,9 @@ def alpha_approval(
     rewards = m.reward_vectors()
     n = m.num_agents
     program, tau = approval_program(m, poly, cdfs, alpha)
-    sol = lp.milp_solve(program, node_budget=node_budget)
+    sol = lp.milp_solve(program)
     if sol.status == lp.SolveStatus.ITERATION_LIMIT:
-        raise MilpBudgetExhausted("approval MILP ran out of branch-and-bound nodes")
+        raise MilpBudgetExhausted("approval MILP reached the node limit")
     if sol.status != lp.SolveStatus.OPTIMAL:
         raise LpFailure("approval MILP did not solve")
     approving = tuple(i for i, z in enumerate(sol.binary_assignment) if z)
@@ -355,9 +354,9 @@ def alpha_approval(
     return _finish(m, point, cert, watch)
 
 
-def plurality(m: Momdp, poly: OccupancyPolytope, **kwargs) -> RuleResult:
+def plurality(m: Momdp, poly: OccupancyPolytope) -> RuleResult:
     """Approval at alpha = 1: approve only return-optimal policies."""
-    return alpha_approval(m, poly, None, alpha=1.0, **kwargs)
+    return alpha_approval(m, poly, None, alpha=1.0)
 
 
 def borda_milp(
@@ -365,7 +364,6 @@ def borda_milp(
     poly: OccupancyPolytope,
     cdfs: list[ReturnCdf],
     epsilon: float = 0.05,
-    node_budget: int = lp.DEFAULT_NODE_BUDGET,
 ) -> RuleResult:
     """Approximate Borda winner via level-indicator MILP.
 
@@ -420,9 +418,9 @@ def borda_milp(
         base=poly, binaries=tuple(binaries), binary_rows=tuple(binary_rows),
         mixed_rows=tuple(mixed_rows),
     )
-    sol = lp.milp_solve(program, node_budget=node_budget)
+    sol = lp.milp_solve(program)
     if sol.status == lp.SolveStatus.ITERATION_LIMIT:
-        raise MilpBudgetExhausted("Borda MILP ran out of branch-and-bound nodes")
+        raise MilpBudgetExhausted("Borda MILP reached the node limit")
     if sol.status != lp.SolveStatus.OPTIMAL:
         raise LpFailure("Borda MILP did not solve")
     achieved = rewards @ sol.point.flat

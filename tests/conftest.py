@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 import polyagg as pa
+from polyagg import _solver
 
 
 @pytest.fixture
@@ -32,6 +34,47 @@ def fully_connected_22():
         [[0.0, 0.0], [0.0, 1.0]],
     ])
     return pa.Momdp(transition=transition, rewards=rewards)
+
+
+def without_isolated_vertices(g: pa.Graph, seed: int) -> pa.Graph:
+    """Attach every degree-0 vertex to a random neighbour.
+
+    The independent-set encoding gives an isolated vertex an all-zero reward
+    table (an indifferent agent), so the reduction is stated for graphs with
+    minimum degree one.
+    """
+    degree = [0] * g.num_vertices
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    rng = np.random.default_rng(seed)
+    edges = list(g.edges)
+    for u in range(g.num_vertices):
+        if degree[u] == 0:
+            choices = [v for v in range(g.num_vertices) if v != u]
+            v = int(rng.choice(choices))
+            edges.append((min(u, v), max(u, v)))
+            degree[u] += 1
+            degree[v] += 1
+    return pa.Graph(num_vertices=g.num_vertices, edges=tuple(sorted(set(edges))))
+
+
+@pytest.fixture
+def node_limit_reached(monkeypatch):
+    """Make every MILP stop the way HiGHS does at its node limit.
+
+    No program in the suite needs more than one branch-and-cut node, so the
+    limit cannot be reached for real; scipy reports it as status 4 with
+    HiGHS's "Solution limit reached", not as status 1.
+    """
+    def fake_milp(c, **kwargs):
+        return OptimizeResult(
+            status=4, x=None, mip_node_count=1,
+            message="The HiGHS status code was not recognized. "
+                    "(HiGHS Status 16: Solution limit reached)",
+        )
+
+    monkeypatch.setattr(_solver, "_highs_milp", fake_milp)
 
 
 def unit_box(dim):

@@ -13,7 +13,7 @@ import polyagg as pa
 from polyagg import harness, lp, rules
 from polyagg.mdp import build_polytope
 
-from conftest import unit_box
+from conftest import unit_box, without_isolated_vertices
 
 E_INV = 1 / np.e
 
@@ -42,29 +42,6 @@ def small_random_battery():
     return out
 
 
-def _without_isolated_vertices(g: pa.Graph, seed: int) -> pa.Graph:
-    """Attach every degree-0 vertex to a random neighbour.
-
-    The independent-set encoding gives an isolated vertex an all-zero reward
-    table (an indifferent agent), so the reduction is stated for graphs with
-    minimum degree one.
-    """
-    degree = [0] * g.num_vertices
-    for u, v in g.edges:
-        degree[u] += 1
-        degree[v] += 1
-    rng = np.random.default_rng(seed)
-    edges = list(g.edges)
-    for u in range(g.num_vertices):
-        if degree[u] == 0:
-            choices = [v for v in range(g.num_vertices) if v != u]
-            v = int(rng.choice(choices))
-            edges.append((min(u, v), max(u, v)))
-            degree[u] += 1
-            degree[v] += 1
-    return pa.Graph(num_vertices=g.num_vertices, edges=tuple(sorted(set(edges))))
-
-
 @pytest.fixture(scope="module")
 def mis_battery():
     """25 seeded random graphs with at most 10 vertices, plus pipelines."""
@@ -72,8 +49,8 @@ def mis_battery():
     for k in range(25):
         rng = np.random.default_rng(7000 + k)
         v = int(rng.integers(4, 11))
-        g = _without_isolated_vertices(pa.random_graph(v, 0.35, seed=7100 + k),
-                                       seed=7200 + k)
+        g = without_isolated_vertices(pa.random_graph(v, 0.35, seed=7100 + k),
+                                      seed=7200 + k)
         m = pa.gen_from_mis(g)
         poly = build_polytope(m)
         model, _ = pa.normalize_rewards(m, poly)

@@ -57,24 +57,23 @@ class TestNashWelfare:
 
 
 class TestNormalizedReturns:
+    """Rule returns are normalized: the prepared model's returns span [0, 1]."""
+
     def test_extremes(self, simplex2):
         pipe = harness.prepare(simplex2, 2000, seed=1)
         res = pa.utilitarian(pipe.model, pipe.poly)
-        norm = harness.normalized_returns(res, pipe.poly, pipe.model.reward_vectors())
-        assert np.all(norm >= -1e-7) and np.all(norm <= 1 + 1e-7)
+        assert np.all(res.returns >= -1e-7) and np.all(res.returns <= 1 + 1e-7)
 
     def test_midpoint(self, simplex2):
         pipe = harness.prepare(simplex2, 2000, seed=2)
         res = pa.egalitarian(pipe.model, pipe.poly)
-        norm = harness.normalized_returns(res, pipe.poly, pipe.model.reward_vectors())
-        assert np.allclose(norm, 0.5, atol=1e-6)
+        assert np.allclose(res.returns, 0.5, atol=1e-6)
 
     def test_agent_optimal_policy_scores_one(self, simplex2):
         pipe = harness.prepare(simplex2.replace_rewards(simplex2.rewards[:1]),
                                2000, seed=3)
         res = pa.utilitarian(pipe.model, pipe.poly)
-        norm = harness.normalized_returns(res, pipe.poly, pipe.model.reward_vectors())
-        assert norm[0] == pytest.approx(1.0, abs=1e-7)
+        assert res.returns[0] == pytest.approx(1.0, abs=1e-7)
 
 
 def small_spec(tmp_source=None, **overrides):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import polyagg as pa
-from polyagg import lp
-from polyagg.mdp import build_polytope
+from polyagg import _solver, lp
+from polyagg.mdp import MASS_TOL, build_polytope
 
 
 @pytest.fixture
@@ -74,6 +74,16 @@ class TestParetoComplete:
 
 
 class TestLeximin:
+    def test_clamped_point_keeps_unit_mass(self):
+        # HiGHS leaves many entries of a probe LP's point a hair below zero
+        # on this warehouse; clamped without rescaling they added 1.6e-7 of
+        # mass and the occupancy measure was rejected
+        m = pa.gen_warehouse(pa.WarehouseParams(warehouses=3, agents=4, seed=1843504253))
+        poly = build_polytope(m)
+        model, _ = pa.normalize_rewards(m, poly)
+        point = pa.leximin(poly, model.reward_vectors())
+        assert poly.max_violation(point.flat) <= MASS_TOL
+
     def test_simplex_split(self, simplex2):
         poly = build_polytope(simplex2)
         point = pa.leximin(poly, simplex2.reward_vectors())
@@ -170,11 +180,20 @@ class TestMilp:
             b = lp.enumerate_milp(program)
             assert a.objective_value == pytest.approx(b.objective_value, abs=1e-6)
 
-    def test_budget_exhaustion_surfaces(self, simplex3):
-        # thresholds 0.4: relaxation sets one indicator to 0.5, forcing a branch
+    def test_budget_exhaustion_surfaces(self, simplex3, node_limit_reached):
         program = self._approval_program(simplex3, [0.4, 0.4, 0.4])
-        sol = pa.milp_solve(program, node_budget=1)
+        sol = pa.milp_solve(program)
         assert sol.status is pa.SolveStatus.ITERATION_LIMIT
+
+    def test_highs_node_limit_maps_to_iteration_limit(self):
+        # a 60-item, 5-row knapsack HiGHS needs over a hundred nodes to close
+        rng = np.random.default_rng(1)
+        weights = rng.integers(10, 100, (5, 60)).astype(float)
+        values = rng.integers(10, 100, 60).astype(float)
+        res = _solver.milp(-values, weights, weights.sum(axis=1) / 3, None, None,
+                           lower=np.zeros(60), upper=np.ones(60),
+                           integrality=np.ones(60), node_limit=1)
+        assert res.status == _solver.ITERATION_LIMIT
 
     def test_deterministic(self, simplex3):
         program = self._approval_program(simplex3, [0.5, 0.5, 0.5])

@@ -3,6 +3,9 @@ import pytest
 
 import polyagg as pa
 from polyagg import harness
+from polyagg.mdp import build_polytope
+
+from conftest import without_isolated_vertices
 
 SAMPLES = 20_000
 
@@ -186,10 +189,30 @@ class TestAlphaApproval:
         for i in res.certificate.approving_agents:
             assert res.returns[i] >= res.certificate.thresholds[i] - 1e-7
 
-    def test_budget_error_surfaces(self, simplex3_pipe):
+    def test_budget_error_surfaces(self, simplex3_pipe, node_limit_reached):
         with pytest.raises(pa.MilpBudgetExhausted):
             pa.alpha_approval(simplex3_pipe.model, simplex3_pipe.poly,
-                              list(simplex3_pipe.cdfs), alpha=0.7, node_budget=1)
+                              list(simplex3_pipe.cdfs), alpha=0.7)
+
+    @pytest.mark.parametrize("seed", [201, 208])
+    def test_plurality_on_four_site_warehouse(self, seed):
+        # 405 variables: LP relaxations with presolve off failed on these
+        m = pa.gen_warehouse(pa.WarehouseParams(warehouses=4, agents=4, seed=seed))
+        poly = build_polytope(m)
+        model, _ = pa.normalize_rewards(m, poly)
+        res = pa.plurality(model, poly)
+        assert res.certificate.score == 1
+
+    @pytest.mark.parametrize("k", [115, 117, 164, 169, 230])
+    def test_plurality_equals_mis_on_degenerate_graphs(self, k):
+        # graphs whose plurality points once broke the unit-mass or
+        # nonnegativity tolerance
+        g = without_isolated_vertices(pa.random_graph(8, 0.35, seed=k), seed=10_000 + k)
+        m = pa.gen_from_mis(g)
+        poly = build_polytope(m)
+        model, _ = pa.normalize_rewards(m, poly)
+        res = pa.plurality(model, poly)
+        assert res.certificate.score == pa.brute_force_mis(g)
 
     def test_plurality_wrapper(self, simplex2_pipe):
         res = pa.plurality(simplex2_pipe.model, simplex2_pipe.poly)
@@ -205,6 +228,11 @@ class TestBordaMilp:
         res = pa.borda_milp(pipe.model, pipe.poly, list(pipe.cdfs))
         assert res.returns[0] == pytest.approx(1.0, abs=1e-6)
         assert all(res.certificate.level_indicators[0])
+
+    def test_budget_error_surfaces(self, simplex3_pipe, node_limit_reached):
+        with pytest.raises(pa.MilpBudgetExhausted):
+            pa.borda_milp(simplex3_pipe.model, simplex3_pipe.poly,
+                          list(simplex3_pipe.cdfs))
 
     def test_epsilon_must_divide_one(self, simplex2_pipe):
         with pytest.raises(ValueError):
