@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _solver, lp, volume
-from .errors import ConcaveRegionEmpty, DegeneratePolytope, LpFailure, MilpBudgetExhausted
+from .errors import ConcaveRegionEmpty, LpFailure, MilpBudgetExhausted
 from .mdp import Momdp, OccupancyMeasure, OccupancyPolytope, Policy, occupancy_to_policy
 from .volume import ReturnCdf, SampleCloud
 
 PLURALITY_SLACK = 1e-6   # alpha = 1 threshold is 1 minus this, absorbing LP slack
-VETO_BISECTIONS = 30
 COMPLETION_RELAX = 1e-9  # loosen achieved-return bounds by this much
 
 
@@ -52,6 +51,7 @@ class VetoCertificate:
     order: tuple[int, ...]
     thresholds: tuple[float, ...]
     cut_fractions: tuple[float, ...]  # measured against the original polytope
+    region_samples: tuple[int, ...]   # in-region sample count at each turn, in order
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,13 +148,15 @@ def veto_core(
 
     Agents take turns (in ``order``, default input order) cutting away the
     delta = 1/n - eps/(n+1) fraction of the *original* polytope's volume
-    where their own return is lowest: a bisection over the threshold v_i
-    finds the cut whose volume, measured on a fresh uniform sample of the
-    current region and rescaled by the region's running volume fraction,
-    matches delta.  Every bisection probe first re-checks by LP that the
-    candidate region stays nonempty, so over-cutting backs off to the last
-    feasible threshold.  The returned point is the welfare-maximizing point
-    of the final region.
+    where their own return is lowest.  Uniform samples of the polytope that
+    fall in a region are uniform on that region, so every cut is read off
+    the one shared cloud: with N samples, of which N_R are still in the
+    region, agent i's threshold v_i is the (c+1)-th smallest in-region return
+    for c = min(floor(delta N), N_R - 1), clamped at 0, and the in-region
+    samples below it are cut.  The sample attaining v_i stays in the region,
+    so the region never empties and no feasibility LP is needed.  The
+    returned point is the welfare-maximizing point of the final region
+    ``{d : <R_i, d> >= v_i for all i}``.
     """
     n = m.num_agents
     if not 0.0 < epsilon < 1.0 / n:
@@ -165,34 +167,21 @@ def veto_core(
     watch = _Stopwatch(samples_used=cloud.count)
     delta = 1.0 / n - epsilon / (n + 1)
     rewards = m.reward_vectors()
-    chart = cloud.chart if cloud.chart is not None else volume.affine_hull(poly)
+    budget = int(np.floor(delta * cloud.count))
 
-    rows: list[tuple[np.ndarray, float]] = []
+    inside = np.arange(cloud.count)
     thresholds = np.zeros(n)
     cut_fractions = np.zeros(n)
-    remaining_fraction = 1.0
-    for step, i in enumerate(order):
-        region_cloud = _region_samples(poly, chart, rows, cloud, salt=step + 1)
-        watch.samples_used += region_cloud.count
-        returns_i = region_cloud.returns(rewards[i])
-        target = min(delta / max(remaining_fraction, 1e-12), 1.0 - 1e-9)
-        lo, hi = 0.0, 1.0
-        for _ in range(VETO_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            candidate = rows + [(-rewards[i], -mid)]
-            if not lp.feasible(poly, candidate):
-                hi = mid
-                continue
-            if float(np.mean(returns_i <= mid)) <= target:
-                lo = mid
-            else:
-                hi = mid
-        v_i = lo
-        in_region_cut = float(np.mean(returns_i <= v_i))
-        thresholds[i] = v_i
-        cut_fractions[i] = in_region_cut * remaining_fraction
-        remaining_fraction *= 1.0 - in_region_cut
-        rows.append((-rewards[i], -v_i))
+    region_samples = []
+    for i in order:
+        region_samples.append(inside.size)
+        returns_i = cloud.returns(rewards[i])[inside]
+        c = min(budget, inside.size - 1)
+        v_i = np.partition(returns_i, c)[c]
+        keep = returns_i >= v_i
+        thresholds[i] = max(float(v_i), 0.0)
+        cut_fractions[i] = (inside.size - int(keep.sum())) / cloud.count
+        inside = inside[keep]
 
     point = lp.pareto_complete(poly, thresholds, rewards)
     cert = VetoCertificate(
@@ -201,41 +190,9 @@ def veto_core(
         order=order,
         thresholds=tuple(float(v) for v in thresholds),
         cut_fractions=tuple(float(c) for c in cut_fractions),
+        region_samples=tuple(region_samples),
     )
     return _finish(m, point, cert, watch)
-
-
-def _region_samples(poly, chart, rows, cloud, salt):
-    """Fresh uniform samples of the polytope cut down by ``rows``.
-
-    If the region is too thin to chart an interior, fall back to the base
-    cloud's points that satisfy the rows (same law, fewer samples), so thin
-    regions never surface an error from the sequential veto loop.
-    """
-    if not rows:
-        return cloud
-    if chart.dim == 0:
-        return cloud
-    try:
-        region = volume.region_chart(poly, rows, chart)
-    except DegeneratePolytope:
-        keep = np.ones(cloud.count, dtype=bool)
-        for coeffs, bound in rows:
-            keep &= cloud.points @ np.asarray(coeffs) <= bound + 1e-9
-        if not keep.any():
-            raise
-        return volume.SampleCloud(
-            points=cloud.points[keep], seed=cloud.seed,
-            walk_params=cloud.walk_params, chart=cloud.chart,
-            table_shape=cloud.table_shape,
-        )
-    sub_seed = int(np.random.SeedSequence([cloud.seed, salt]).generate_state(1)[0])
-    p = cloud.walk_params
-    return volume.sample_uniform(
-        poly, region, p.count, sub_seed,
-        burn_in=p.burn_in, thinning=p.thinning, chains=p.chains,
-        extra_rows=rows,
-    )
 
 
 def max_quantile(

@@ -144,7 +144,7 @@ def affine_hull(poly: OccupancyPolytope) -> HullChart:
     if basis.shape[1] == 0:
         _check_point_feasible(poly, particular)
         return HullChart(basis=basis, origin=particular, dim=0)
-    origin, radius = _chebyshev_origin(poly, (), basis, particular)
+    origin, radius = _chebyshev_origin(poly, basis, particular)
     if radius > INTERIOR_TOL:
         return HullChart(basis=basis, origin=origin, dim=basis.shape[1])
     # flat: promote implicitly tight inequalities to equalities and retry
@@ -157,7 +157,7 @@ def affine_hull(poly: OccupancyPolytope) -> HullChart:
     if basis.shape[1] == 0:
         _check_point_feasible(poly, particular)
         return HullChart(basis=basis, origin=particular, dim=0)
-    origin, radius = _chebyshev_origin(poly, (), basis, particular)
+    origin, radius = _chebyshev_origin(poly, basis, particular)
     if radius <= INTERIOR_TOL:
         raise DegeneratePolytope("polytope has no interior after equality re-detection")
     return HullChart(basis=basis, origin=origin, dim=basis.shape[1])
@@ -179,23 +179,14 @@ def _check_point_feasible(poly, x, tol=1e-7):
         raise DegeneratePolytope("equality system pins an infeasible point")
 
 
-def _intrinsic_inequalities(poly, extra_rows, basis, origin):
+def _intrinsic_inequalities(poly, basis, origin):
     """Rows g x <= h become (g @ basis) y <= h - g @ origin."""
-    rows = [poly.a_ub]
-    rhs = [poly.b_ub]
-    for coeffs, bound in extra_rows:
-        rows.append(np.asarray(coeffs, dtype=float).reshape(1, -1))
-        rhs.append(np.asarray([bound], dtype=float))
-    g = np.vstack(rows)
-    h = np.concatenate(rhs)
-    gy = g @ basis
-    hy = h - g @ origin
-    return gy, hy
+    return poly.a_ub @ basis, poly.b_ub - poly.a_ub @ origin
 
 
-def _chebyshev_origin(poly, extra_rows, basis, particular):
+def _chebyshev_origin(poly, basis, particular):
     """Interior point maximizing the minimum slack, in intrinsic coordinates."""
-    gy, hy = _intrinsic_inequalities(poly, extra_rows, basis, particular)
+    gy, hy = _intrinsic_inequalities(poly, basis, particular)
     norms = np.linalg.norm(gy, axis=1)
     active = norms > 1e-12
     if not np.any(active):
@@ -231,20 +222,6 @@ def _implicit_equalities(poly):
     return tight
 
 
-def region_chart(poly: OccupancyPolytope, extra_rows, base: HullChart) -> HullChart:
-    """Re-center a chart inside the polytope intersected with extra halfspaces.
-
-    The affine hull (basis) is unchanged; only the interior origin moves.
-    Raises :class:`DegeneratePolytope` when the region has no interior.
-    """
-    if base.dim == 0:
-        return base
-    origin, radius = _chebyshev_origin(poly, extra_rows, base.basis, base.origin)
-    if radius <= INTERIOR_TOL:
-        raise DegeneratePolytope("region has no interior on the hull")
-    return HullChart(basis=base.basis, origin=origin, dim=base.dim)
-
-
 def sample_uniform(
     poly: OccupancyPolytope,
     chart: HullChart,
@@ -253,7 +230,6 @@ def sample_uniform(
     burn_in: int | None = None,
     thinning: int | None = None,
     chains: int = DEFAULT_CHAINS,
-    extra_rows=(),
 ) -> SampleCloud:
     """Asymptotically uniform samples via hit-and-run on the affine hull.
 
@@ -283,11 +259,11 @@ def sample_uniform(
         raise ValueError("bad walk parameters")
     params = WalkParams(burn_in=burn_in, thinning=thinning, count=count, chains=chains)
 
-    gy, hy = _intrinsic_inequalities(poly, extra_rows, chart.basis, chart.origin)
+    gy, hy = _intrinsic_inequalities(poly, chart.basis, chart.origin)
     keep = np.linalg.norm(gy, axis=1) > 1e-12
     gy, hy = gy[keep], hy[keep]
     if np.any(hy < 0):
-        raise DegeneratePolytope("chart origin is not interior to the region")
+        raise DegeneratePolytope("chart origin is not interior to the polytope")
 
     rng = np.random.default_rng(seed)
     per_chain = -(-count // chains)

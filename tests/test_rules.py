@@ -104,16 +104,48 @@ class TestVetoCore:
         assert np.array_equal(a.occupancy.flat, c.occupancy.flat)
         assert b.certificate.order == (2, 1, 0)
 
-    def test_thin_region_falls_back_to_filtered_cloud(self, simplex2_pipe):
-        from polyagg.rules import _region_samples
+    def test_loaded_cloud_gives_same_result_with_one_lp(self, simplex3_pipe, tmp_path):
+        path = tmp_path / "cloud.csv"
+        pa.save_cloud(simplex3_pipe.cloud, path)
+        loaded = pa.load_cloud(path)
+        assert loaded.chart is None
+        a = pa.veto_core(simplex3_pipe.model, simplex3_pipe.poly,
+                         simplex3_pipe.cloud, epsilon=0.05)
+        b = pa.veto_core(simplex3_pipe.model, simplex3_pipe.poly, loaded, epsilon=0.05)
+        assert np.array_equal(a.occupancy.flat, b.occupancy.flat)
+        assert a.certificate.thresholds == b.certificate.thresholds
+        assert b.diagnostics.lp_solves == 1
+        assert b.diagnostics.samples_used == loaded.count
 
-        cloud = simplex2_pipe.cloud
-        top = float(cloud.points[:, 0].max())
-        rows = [(-np.array([1.0, 0.0]), -(top - 1e-12))]  # d0 >= max sample
-        region = _region_samples(simplex2_pipe.poly, simplex2_pipe.chart,
-                                 rows, cloud, salt=1)
-        assert region.count >= 1
-        assert region.points[:, 0].min() >= top - 1e-9
+    def test_region_samples_count_the_uncut_cloud(self, simplex3_pipe):
+        res = pa.veto_core(simplex3_pipe.model, simplex3_pipe.poly,
+                           simplex3_pipe.cloud, epsilon=0.05)
+        cert = res.certificate
+        count = simplex3_pipe.cloud.count
+        left = count
+        for k, i in enumerate(cert.order):
+            assert cert.region_samples[k] == left
+            left -= round(cert.cut_fractions[i] * count)
+        # each earlier turn cut at most floor(delta * count) samples
+        n = len(cert.order)
+        assert cert.region_samples[-1] >= (1 - (n - 1) * cert.delta) * count
+
+    @pytest.mark.parametrize("ell", [3, 4])
+    def test_simplex_cuts_match_closed_form(self, ell):
+        """True cut volumes, from (1 - sum of thresholds so far)^(l-1), are delta.
+
+        The one-hot simplex gives agent i the return x_i, and the region left
+        after cutting x_j < v_j for the agents j so far is a scaled simplex of
+        relative volume (1 - sum_j v_j)^(l-1).
+        """
+        pipe = harness.prepare(pa.gen_simplex_instance(ell), 100_000, seed=420 + ell)
+        cert = pa.veto_core(pipe.model, pipe.poly, pipe.cloud, epsilon=0.05).certificate
+        taken = 0.0
+        for i in cert.order:
+            before = (1.0 - taken) ** (ell - 1)
+            taken += cert.thresholds[i]
+            after = max(1.0 - taken, 0.0) ** (ell - 1)
+            assert before - after == pytest.approx(cert.delta, abs=0.02)
 
     def test_no_blocking_coalition(self, simplex2_pipe):
         res = pa.veto_core(simplex2_pipe.model, simplex2_pipe.poly,

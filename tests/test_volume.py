@@ -95,14 +95,6 @@ class TestSampleUniform:
         assert cloud.count == 100
         assert np.allclose(cloud.points, [0.5, 0.5])
 
-    def test_extra_rows_restrict_support(self, simplex2):
-        poly = build_polytope(simplex2)
-        chart = pa.affine_hull(poly)
-        rows = [(-np.array([1.0, 0.0]), -0.4)]  # d0 >= 0.4
-        region = volume.region_chart(poly, rows, chart)
-        cloud = pa.sample_uniform(poly, region, 5000, seed=5, extra_rows=rows)
-        assert cloud.points[:, 0].min() >= 0.4 - 1e-9
-
 
 class TestVolFraction:
     def test_full_and_empty(self, simplex2):
