@@ -27,6 +27,8 @@ INTERIOR_TOL = 1e-10      # minimum Chebyshev radius before degeneracy
 DEFAULT_CHAINS = 64
 LOGISTIC_MAX_DEV = 0.05   # reject a fit whose cdf deviates more than this
 QUANTILE_REL_TOL = 1e-4   # bisection width, relative to the support
+SWEEP_BLOCK_STEPS = 4096  # walk steps per block of random draws, before rounding
+AXIS_ZERO_TOL = 1e-14     # chart-axis entries this small never bound a chord
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,13 +233,15 @@ def sample_uniform(
     thinning: int | None = None,
     chains: int = DEFAULT_CHAINS,
 ) -> SampleCloud:
-    """Asymptotically uniform samples via hit-and-run on the affine hull.
+    """Asymptotically uniform samples via coordinate hit-and-run on the hull.
 
     Runs ``chains`` walkers in lockstep from the chart origin under a single
-    seeded generator: each step picks an isotropic direction, intersects the
-    chord with every inequality, and jumps to a uniform point of the chord.
-    After ``burn_in`` steps (default 1000 * dim) every ``thinning``-th state
-    (default dim) is recorded per chain; the cloud concatenates the chains'
+    seeded generator.  Every step moves all chains along the same chart axis
+    to a uniform point of each chain's chord through the polytope; the axes
+    come in sweeps, each a fresh random permutation of the ``dim`` axes,
+    starting at step 0.  After ``burn_in`` steps (default 1000 * dim, i.e.
+    1,000 sweeps) every ``thinning``-th state (default dim, one sweep per
+    record) is recorded per chain; the cloud concatenates the chains'
     records in chain-major order and truncates to ``count``.
 
     A zero-dimensional chart cannot be walked: the unique feasible point is
@@ -264,47 +268,69 @@ def sample_uniform(
     gy, hy = gy[keep], hy[keep]
     if np.any(hy < 0):
         raise DegeneratePolytope("chart origin is not interior to the polytope")
+    axes = [_axis_rows(gy[:, k]) for k in range(dim)]
 
     rng = np.random.default_rng(seed)
     per_chain = -(-count // chains)
     total_steps = burn_in + per_chain * thinning
-    gy_t = np.ascontiguousarray(gy.T)
-    y = np.zeros((chains, dim))
-    slack = np.tile(hy, (chains, 1))
+    block = -(-SWEEP_BLOCK_STEPS // dim) * dim   # whole sweeps per draw
+    y = np.zeros((dim, chains))
+    slack = np.tile(hy[:, None], (1, chains))    # (rows, chains)
     records = np.empty((per_chain, chains, dim))
     rec = 0
-    along = np.empty((chains, gy.shape[0]))
-    hi_buf = np.empty_like(along)
-    lo_buf = np.empty_like(along)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for step in range(total_steps):
-            direction = rng.standard_normal((chains, dim))
-            np.matmul(direction, gy_t, out=along)
-            np.divide(slack, along, out=hi_buf)
-            np.copyto(lo_buf, hi_buf)
-            np.copyto(hi_buf, np.inf, where=along <= 1e-14)
-            np.copyto(lo_buf, -np.inf, where=along >= -1e-14)
-            t_hi = hi_buf.min(axis=1)
-            t_lo = lo_buf.max(axis=1)
-            np.copyto(t_hi, 0.0, where=~np.isfinite(t_hi))
-            np.copyto(t_lo, 0.0, where=~np.isfinite(t_lo))
-            t = t_lo + (t_hi - t_lo) * rng.random(chains)
-            np.copyto(t, 0.0, where=t_hi < t_lo)
-            y += t[:, None] * direction
-            slack -= t[:, None] * along
-            if (step + 1) % 512 == 0:
-                slack = hy[None, :] - y @ gy.T  # resync against drift
-            if step >= burn_in and (step - burn_in + 1) % thinning == 0:
-                records[rec] = y
-                rec += 1
+    ratio = np.empty((gy.shape[0], chains))
+    for step in range(total_steps):
+        j = step % block
+        if j == 0:
+            sweeps = np.tile(np.arange(dim), (block // dim, 1))
+            order = rng.permuted(sweeps, axis=1).ravel()
+            uniforms = rng.random((block, chains))
+        k = order[j]
+        rows, inv, n_pos, col = axes[k]
+        r = np.take(slack, rows, axis=0, out=ratio[: rows.size])
+        r *= inv
+        t_hi = r[:n_pos].min(axis=0)
+        t_lo = r[n_pos:].max(axis=0)
+        t = t_hi - t_lo
+        t *= uniforms[j]
+        t += t_lo
+        t[t_hi < t_lo] = 0.0   # drift left an empty chord: stay put
+        y[k] += t
+        slack -= col * t
+        if (step + 1) % 512 == 0:
+            slack = hy[:, None] - gy @ y  # resync against drift
+        if step >= burn_in and (step - burn_in + 1) % thinning == 0:
+            records[rec] = y.T
+            rec += 1
     flat = records.transpose(1, 0, 2).reshape(chains * per_chain, dim)[:count]
     ambient = chart.to_ambient(flat)
     return SampleCloud(points=ambient, seed=seed, walk_params=params, chart=chart,
                        table_shape=poly.table_shape)
 
 
+def _axis_rows(column):
+    """Rows bounding the chord along one chart axis: positive entries first.
+
+    Returns the row indices, their reciprocal entries as a (rows, 1) column,
+    the number of positive rows, and the whole column as (rows, 1).  A chord
+    y + t e_k stays feasible while t * column <= slack, so positive rows
+    bound t above at slack / column and negative rows bound it below.
+    """
+    pos = np.flatnonzero(column > AXIS_ZERO_TOL)
+    neg = np.flatnonzero(column < -AXIS_ZERO_TOL)
+    if pos.size == 0 or neg.size == 0:
+        raise DegeneratePolytope("polytope is unbounded along a chart axis")
+    rows = np.concatenate([pos, neg])
+    return rows, (1.0 / column[rows])[:, None], pos.size, column[:, None]
+
+
 def vol_fraction(cloud: SampleCloud, halfspace) -> FractionEstimate:
-    """Fraction of samples with ``coeffs @ x <= bound``, with its standard error."""
+    """Fraction of samples with ``coeffs @ x <= bound``, with its standard error.
+
+    ``std_error`` is the binomial sqrt(p (1 - p) / n), which treats the draws
+    as iid.  Thinned walk records are autocorrelated in general, so it can
+    understate the Monte Carlo error of a cloud that has not mixed.
+    """
     coeffs, bound = halfspace
     values = cloud.returns(coeffs)
     hits = values <= bound
@@ -445,7 +471,8 @@ def mode_estimate(cdf: ReturnCdf, bins: int = 100) -> float:
 # --- cloud CSV interchange ---------------------------------------------------
 #
 # Column order: the flattened (s, a) row-major coordinates of each point.
-# Header comment lines carry seed and walk parameters; floats are written
+# Header comment lines carry seed, walk parameters and, when known, the
+# occupancy table shape as ``table_shape=SxA``; floats are written
 # with 17 significant digits so points reload bit-for-bit.
 
 
@@ -455,6 +482,8 @@ def save_cloud(cloud: SampleCloud, path) -> None:
         f"polyagg-cloud seed={cloud.seed} burn_in={p.burn_in} thinning={p.thinning} "
         f"count={p.count} chains={p.chains} degenerate={int(cloud.degenerate)}"
     )
+    if cloud.table_shape is not None:
+        header += " table_shape={}x{}".format(*cloud.table_shape)
     np.savetxt(path, cloud.points, delimiter=",", fmt="%.17g", header=header)
 
 
@@ -471,10 +500,12 @@ def load_cloud(path) -> SampleCloud:
         count=int(fields["count"]),
         chains=int(fields["chains"]),
     )
+    shape = fields.get("table_shape")
     return SampleCloud(
         points=pts,
         seed=int(fields["seed"]),
         walk_params=params,
         chart=None,
         degenerate=bool(int(fields["degenerate"])),
+        table_shape=tuple(int(n) for n in shape.split("x")) if shape else None,
     )

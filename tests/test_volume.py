@@ -86,6 +86,40 @@ class TestSampleUniform:
         c = pa.sample_uniform(poly, chart, 5000, seed=10)
         assert not np.array_equal(a.points, c.points)
 
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_one_sweep_records_are_independent_on_box(self, dim):
+        # along a box axis the chord is the whole edge, so one sweep
+        # redraws every coordinate: consecutive records are independent
+        box = unit_box(dim)
+        cloud = pa.sample_uniform(box, pa.affine_hull(box), SAMPLES, seed=41)
+        chains = cloud.walk_params.chains
+        per_chain = -(-SAMPLES // chains)
+        padded = np.full(chains * per_chain, np.nan)
+        padded[:SAMPLES] = cloud.points[:, 0]
+        walks = padded.reshape(chains, per_chain)
+        now, nxt = walks[:, :-1].ravel(), walks[:, 1:].ravel()
+        both = ~(np.isnan(now) | np.isnan(nxt))
+        rho = np.corrcoef(now[both], nxt[both])[0, 1]
+        assert abs(rho) <= 0.05
+
+    def test_warehouse_cloud_stays_in_polytope(self):
+        model = pa.gen_warehouse(pa.WarehouseParams(3, 4, seed=2000))
+        poly = build_polytope(model)
+        cloud = pa.sample_uniform(poly, pa.affine_hull(poly), 12_800, seed=42,
+                                  burn_in=2_000, thinning=16)
+        assert max(poly.max_violation(x) for x in cloud.points) <= 1e-9
+
+    def test_unbounded_axis_raises(self):
+        # the strip 0 <= x <= 1 has a Chebyshev center but no bound on y
+        strip = pa.OccupancyPolytope(
+            a_ub=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+            b_ub=np.array([1.0, 0.0]),
+            a_eq=np.zeros((0, 2)),
+            b_eq=np.zeros(0),
+        )
+        with pytest.raises(pa.DegeneratePolytope, match="unbounded"):
+            pa.sample_uniform(strip, pa.affine_hull(strip), 100, seed=0)
+
     def test_degenerate_polytope_repeats_point(self, two_cycle):
         poly = build_polytope(two_cycle)
         chart = pa.affine_hull(poly)
@@ -284,6 +318,16 @@ class TestCloudInterchange:
         assert np.array_equal(back.points, cloud.points)
         assert back.seed == cloud.seed
         assert back.walk_params == cloud.walk_params
+
+    def test_round_trip_keeps_table_shape(self, tmp_path):
+        model = pa.gen_warehouse(pa.WarehouseParams(1, 2, seed=706))
+        poly = build_polytope(model)
+        cloud = pa.sample_uniform(poly, pa.affine_hull(poly), 500, seed=23)
+        path = tmp_path / "cloud.csv"
+        pa.save_cloud(cloud, path)
+        back = pa.load_cloud(path)
+        assert back.table_shape == cloud.table_shape == poly.table_shape
+        assert pa.centroid_estimate(back).table.shape == poly.table_shape
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.csv"
