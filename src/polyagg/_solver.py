@@ -39,7 +39,7 @@ def _or_none(a):
     return a if a.size else None
 
 
-def lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(None, None), maxiter=None):
+def lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(None, None)):
     """Solve ``min c @ x`` subject to ``a_ub x <= b_ub`` and ``a_eq x = b_eq``.
 
     Variables are free by default (the callers encode all structure as
@@ -49,9 +49,6 @@ def lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(None, None), maxit
     """
     global solve_count
     solve_count += 1
-    options = {"presolve": False}
-    if maxiter is not None:
-        options["maxiter"] = int(maxiter)
     res = linprog(
         np.asarray(c, dtype=float),
         A_ub=_or_none(a_ub),
@@ -60,7 +57,7 @@ def lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(None, None), maxit
         b_eq=_or_none(b_eq),
         bounds=bounds,
         method="highs",
-        options=options,
+        options={"presolve": False},
     )
     if res.status in (3, 4):
         raise LpFailure(f"LP solver failed with status {res.status}: {res.message}")

@@ -133,11 +133,6 @@ def _cmd_aggregate(args) -> int:
         params["order"] = [int(t) for t in args.veto_order.split(",")]
     result = harness.run_rule(args.rule, pipe, **params)
     norm = result.returns  # normalized: the model's returns span [0, 1]
-    spec = harness.ExperimentSpec(
-        source={"file": str(args.momdp)},
-        rules=(harness.RuleSpec(name=args.rule, params=params),),
-        seed=args.seed, samples=args.samples, cdf_kind=args.cdf,
-    )
     doc = {
         "rule": args.rule,
         "params": {k: harness._plain(v) for k, v in params.items()},
@@ -147,7 +142,7 @@ def _cmd_aggregate(args) -> int:
         "normalized_returns": [float(v) for v in norm],
         "gini": harness.gini(norm) if norm.sum() > 1e-12 else 0.0,
         "nash": harness.nash_welfare(norm.clip(0.0)),
-        "result": harness._result_doc(result, spec),
+        "result": harness._result_doc(result, record_runtime=False),
     }
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "result.json").write_text(json.dumps(doc, indent=2))

@@ -276,7 +276,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
                 runtime=elapsed,
             )
             rows.append(row)
-            instance_doc["rules"][rule_spec.label()] = _result_doc(result, spec)
+            instance_doc["rules"][rule_spec.label()] = _result_doc(result, spec.record_runtime)
         results_doc.append(instance_doc)
 
     aggregates = _aggregate(rows)
@@ -314,7 +314,7 @@ def _aggregate(rows) -> list[dict]:
     return out
 
 
-def _result_doc(result: rules.RuleResult, spec: ExperimentSpec) -> dict:
+def _result_doc(result: rules.RuleResult, record_runtime: bool) -> dict:
     cert = result.certificate
     cert_doc = {"type": type(cert).__name__}
     for key, value in vars(cert).items():
@@ -329,7 +329,7 @@ def _result_doc(result: rules.RuleResult, spec: ExperimentSpec) -> dict:
             "samples_used": result.diagnostics.samples_used,
         },
     }
-    if spec.record_runtime:
+    if record_runtime:
         doc["diagnostics"]["wall_time"] = result.diagnostics.wall_time
     return doc
 
@@ -378,6 +378,9 @@ def _render_json(spec, rows, aggregates, failures, results_doc) -> str:
             "instances": spec.num_instances,
             "samples": spec.samples,
             "cdf": spec.cdf_kind,
+            "burn_in": spec.burn_in,
+            "thinning": spec.thinning,
+            "chains": spec.chains,
         },
         "metrics": [
             {

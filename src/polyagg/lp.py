@@ -131,15 +131,14 @@ def _stack_rows(poly: OccupancyPolytope, extra_rows):
     return a_ub, b_ub
 
 
-def solve_lp(poly: OccupancyPolytope, extra_rows, obj: LinearObjective, maxiter=None) -> Solution:
+def solve_lp(poly: OccupancyPolytope, extra_rows, obj: LinearObjective) -> Solution:
     """Optimize a linear objective over the polytope plus extra halfspaces."""
     if obj.coeffs.shape[0] != poly.dim:
         raise ValueError("objective length must match the polytope dimension")
     a_ub, b_ub = _stack_rows(poly, extra_rows)
     sign = -1.0 if obj.sense == MAXIMIZE else 1.0
     res = _solver.lp(
-        sign * obj.coeffs, a_ub=a_ub, b_ub=b_ub, a_eq=poly.a_eq, b_eq=poly.b_eq,
-        maxiter=maxiter,
+        sign * obj.coeffs, a_ub=a_ub, b_ub=b_ub, a_eq=poly.a_eq, b_eq=poly.b_eq
     )
     if res.status == _solver.INFEASIBLE:
         return Solution(status=SolveStatus.INFEASIBLE)
@@ -205,9 +204,12 @@ def leximin(poly: OccupancyPolytope, reward_vectors) -> OccupancyMeasure:
     """Iterative leximin over agent returns.
 
     Repeatedly maximizes a floor ``t`` with ``<R_i, d> >= t`` for all unfixed
-    agents, then pins every agent whose return cannot exceed the floor
-    (checked by one LP per agent), until all agents are pinned.  Returns the
-    welfare-maximizing point of the final region.
+    agents and pins every agent whose row has a dual value above
+    ``FEAS_TOL``, until all agents are pinned.  By complementary slackness
+    such an agent returns exactly ``t*`` at every optimal point, so pinning
+    it loses nothing.  The dual constraint of ``t`` makes the unfixed rows'
+    duals sum to 1, so the largest is at least 1/n and every round pins an
+    agent.  Returns the welfare-maximizing point of the final region.
     """
     r = np.atleast_2d(np.asarray(reward_vectors, dtype=float))
     n_agents, dim = r.shape
@@ -216,28 +218,27 @@ def leximin(poly: OccupancyPolytope, reward_vectors) -> OccupancyMeasure:
     fixed: dict[int, float] = {}
     while len(fixed) < n_agents:
         unfixed = [i for i in range(n_agents) if i not in fixed]
-        t_star = _max_floor(poly, r, unfixed, fixed)
-        caps = {}
-        for i in unfixed:
-            caps[i] = _max_single(poly, r, i, unfixed, fixed, t_star)
-        newly = [i for i in unfixed if caps[i] <= t_star + FEAS_TOL]
+        t_star, duals = _max_floor(poly, r, unfixed, fixed)
+        newly = [i for i, y in zip(unfixed, duals) if y > FEAS_TOL]
         if not newly:
-            # numerically everyone can improve a hair; pin the most constrained
-            newly = [min(unfixed, key=lambda i: (caps[i], i))]
+            raise LpFailure("leximin floor LP has no positive dual to pin an agent")
         for i in newly:
             fixed[i] = t_star
     return pareto_complete(poly, [fixed[i] for i in range(n_agents)], r)
 
 
-def _max_floor(poly, r, unfixed, fixed) -> float:
-    """max t  s.t.  J_i >= t (unfixed),  J_j >= v_j (fixed)."""
+def _max_floor(poly, r, unfixed, fixed) -> tuple[float, np.ndarray]:
+    """max t  s.t.  J_i >= t (unfixed),  J_j >= v_j (fixed).
+
+    Returns ``t*`` and the duals (>= 0) of the unfixed agents' rows.
+    """
     dim = poly.dim
-    n_rows_u = len(unfixed)
-    a_ub = np.zeros((poly.a_ub.shape[0] + n_rows_u + len(fixed), dim + 1))
+    n_base = poly.a_ub.shape[0]
+    a_ub = np.zeros((n_base + len(unfixed) + len(fixed), dim + 1))
     b_ub = np.zeros(a_ub.shape[0])
-    a_ub[: poly.a_ub.shape[0], :dim] = poly.a_ub
-    b_ub[: poly.a_ub.shape[0]] = poly.b_ub
-    k = poly.a_ub.shape[0]
+    a_ub[:n_base, :dim] = poly.a_ub
+    b_ub[:n_base] = poly.b_ub
+    k = n_base
     for i in unfixed:
         a_ub[k, :dim] = -r[i]
         a_ub[k, dim] = 1.0
@@ -252,19 +253,8 @@ def _max_floor(poly, r, unfixed, fixed) -> float:
     res = _solver.lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=poly.b_eq)
     if res.status != _solver.OPTIMAL:
         raise LpFailure("leximin floor LP did not solve")
-    return float(-res.fun)
-
-
-def _max_single(poly, r, target, unfixed, fixed, t_star) -> float:
-    rows = []
-    for i in unfixed:
-        rows.append((-r[i], -t_star))
-    for j, v in sorted(fixed.items()):
-        rows.append((-r[j], -v))
-    sol = solve_lp(poly, rows, LinearObjective(r[target], MAXIMIZE))
-    if sol.status != SolveStatus.OPTIMAL:
-        raise LpFailure("leximin probe LP did not solve")
-    return sol.objective_value
+    duals = -res.ineqlin.marginals[n_base : n_base + len(unfixed)]
+    return float(-res.fun), duals
 
 
 # --- indicator MILPs ---------------------------------------------------------

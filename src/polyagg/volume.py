@@ -17,6 +17,7 @@ from scipy.optimize import least_squares
 
 from . import _solver
 from .errors import DegeneratePolytope
+from .lp import FEAS_TOL
 from .mdp import OccupancyMeasure, OccupancyPolytope
 
 EMPIRICAL = "empirical"
@@ -138,30 +139,28 @@ def affine_hull(poly: OccupancyPolytope) -> HullChart:
 
     The basis is the orthonormal null space of the equality rows (SVD,
     standard rank tolerance); the origin maximizes the minimum inequality
-    slack (a Chebyshev-center LP in intrinsic coordinates).  If the polytope
-    turns out to be flat against some inequality, that inequality is
-    re-detected as an implicit equality and the chart is rebuilt once.
+    slack (a Chebyshev-center LP in intrinsic coordinates).  A radius of
+    about 0 means the polytope is flat against some inequalities: the rows
+    with a positive dual in that LP are tight over the whole polytope (see
+    :func:`_chebyshev_origin`), so they are promoted to equalities and the
+    chart is rebuilt.  Each round removes at least one dimension.
     """
-    basis, particular = _null_space_chart(poly.a_eq, poly.b_eq, poly.dim)
-    if basis.shape[1] == 0:
-        _check_point_feasible(poly, particular)
-        return HullChart(basis=basis, origin=particular, dim=0)
-    origin, radius = _chebyshev_origin(poly, basis, particular)
-    if radius > INTERIOR_TOL:
-        return HullChart(basis=basis, origin=origin, dim=basis.shape[1])
-    # flat: promote implicitly tight inequalities to equalities and retry
-    tight = _implicit_equalities(poly)
-    if not tight:
-        raise DegeneratePolytope("polytope has no interior on its affine hull")
-    a_eq = np.vstack([poly.a_eq, poly.a_ub[tight]])
-    b_eq = np.concatenate([poly.b_eq, poly.b_ub[tight]])
-    basis, particular = _null_space_chart(a_eq, b_eq, poly.dim)
-    if basis.shape[1] == 0:
-        _check_point_feasible(poly, particular)
-        return HullChart(basis=basis, origin=particular, dim=0)
-    origin, radius = _chebyshev_origin(poly, basis, particular)
-    if radius <= INTERIOR_TOL:
-        raise DegeneratePolytope("polytope has no interior after equality re-detection")
+    a_eq, b_eq = poly.a_eq, poly.b_eq
+    basis, origin = _null_space_chart(a_eq, b_eq, poly.dim)
+    while basis.shape[1] > 0:
+        origin, radius, tight = _chebyshev_origin(poly, basis, origin)
+        if radius > INTERIOR_TOL:
+            break
+        if tight.size == 0:
+            raise DegeneratePolytope("polytope has no interior on its affine hull")
+        a_eq = np.vstack([a_eq, poly.a_ub[tight]])
+        b_eq = np.concatenate([b_eq, poly.b_ub[tight]])
+        flatter, origin = _null_space_chart(a_eq, b_eq, poly.dim)
+        if flatter.shape[1] >= basis.shape[1]:
+            raise DegeneratePolytope("tight rows do not lower the hull dimension")
+        basis = flatter
+    if poly.max_violation(origin) > FEAS_TOL:
+        raise DegeneratePolytope("chart origin lies outside the polytope")
     return HullChart(basis=basis, origin=origin, dim=basis.shape[1])
 
 
@@ -176,26 +175,28 @@ def _null_space_chart(a_eq, b_eq, dim):
     return basis, particular
 
 
-def _check_point_feasible(poly, x, tol=1e-7):
-    if poly.a_ub.shape[0] and np.max(poly.a_ub @ x - poly.b_ub) > tol:
-        raise DegeneratePolytope("equality system pins an infeasible point")
-
-
 def _intrinsic_inequalities(poly, basis, origin):
     """Rows g x <= h become (g @ basis) y <= h - g @ origin."""
     return poly.a_ub @ basis, poly.b_ub - poly.a_ub @ origin
 
 
 def _chebyshev_origin(poly, basis, particular):
-    """Interior point maximizing the minimum slack, in intrinsic coordinates."""
+    """Interior point maximizing the minimum slack, in intrinsic coordinates.
+
+    Returns the point, the radius r* and the indices of the inequality rows
+    whose dual exceeds ``FEAS_TOL``.  The dual multipliers lambda >= 0 of
+    ``g_i y + |g_i| r <= h_i`` satisfy ``sum lambda_i g_i = 0`` and
+    ``sum lambda_i |g_i| = 1``, so ``sum lambda_i (h_i - g_i y) = r*`` at
+    every feasible y (Farkas).  When r* is about 0, every row with
+    lambda_i > 0 therefore has zero slack over the whole polytope.
+    """
     gy, hy = _intrinsic_inequalities(poly, basis, particular)
     norms = np.linalg.norm(gy, axis=1)
-    active = norms > 1e-12
-    if not np.any(active):
-        return particular, np.inf
-    k = int(active.sum())
+    active = np.flatnonzero(norms > 1e-12)
+    if active.size == 0:
+        return particular, np.inf, active
     dim = basis.shape[1]
-    a_ub = np.zeros((k, dim + 1))
+    a_ub = np.zeros((active.size, dim + 1))
     a_ub[:, :dim] = gy[active]
     a_ub[:, dim] = norms[active]
     c = np.zeros(dim + 1)
@@ -205,23 +206,8 @@ def _chebyshev_origin(poly, basis, particular):
         raise DegeneratePolytope("Chebyshev-center LP failed")
     y = res.x[:dim]
     radius = float(res.x[dim])
-    return particular + basis @ y, radius
-
-
-def _implicit_equalities(poly):
-    """Indices of inequality rows whose slack is zero over the whole polytope."""
-    tight = []
-    for i in range(poly.a_ub.shape[0]):
-        res = _solver.lp(
-            -poly.a_ub[i], a_ub=poly.a_ub, b_ub=poly.b_ub,
-            a_eq=poly.a_eq, b_eq=poly.b_eq,
-        )
-        if res.status != _solver.OPTIMAL:
-            continue
-        max_slack = poly.b_ub[i] - float(-res.fun)
-        if max_slack <= INTERIOR_TOL:
-            tight.append(i)
-    return tight
+    tight = active[-res.ineqlin.marginals > FEAS_TOL]
+    return particular + basis @ y, radius, tight
 
 
 def sample_uniform(

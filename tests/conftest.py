@@ -36,6 +36,21 @@ def fully_connected_22():
     return pa.Momdp(transition=transition, rewards=rewards)
 
 
+@pytest.fixture
+def transient_53():
+    """5-state, 3-action average model in which no transition enters state 4.
+
+    State 4 is transient: its occupancy is 0 in every stationary policy, so
+    its three nonnegativity rows are tight over the whole polytope.  The
+    equality rows leave dimension 10; the hull has dimension 8.
+    """
+    rng = np.random.default_rng(53)
+    transition = np.zeros((5, 3, 5))
+    transition[:, :, :4] = rng.dirichlet(np.ones(4), size=(5, 3))
+    rewards = rng.random((2, 5, 3))
+    return pa.Momdp(transition=transition, rewards=rewards)
+
+
 def without_isolated_vertices(g: pa.Graph, seed: int) -> pa.Graph:
     """Attach every degree-0 vertex to a random neighbour.
 

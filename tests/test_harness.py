@@ -185,6 +185,13 @@ class TestRunExperiment:
         assert spec.rules[1].params == {"alpha": 0.8}
         assert spec.samples == 1000
 
+    def test_echoed_spec_reproduces_run(self):
+        spec = small_spec(burn_in=50, thinning=3, chains=8)
+        out = harness.run_experiment(spec)
+        echoed = json.dumps(json.loads(out.json_text)["spec"])
+        rerun = harness.run_experiment(harness.ExperimentSpec.from_json(echoed))
+        assert rerun.json_text == out.json_text
+
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError, match="unknown rule"):
             harness.RuleSpec("best-rule-ever")

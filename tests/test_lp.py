@@ -84,6 +84,15 @@ class TestLeximin:
         point = pa.leximin(poly, model.reward_vectors())
         assert poly.max_violation(point.flat) <= MASS_TOL
 
+    def test_warehouse_pins_by_duals(self):
+        # one floor LP per round, each pinning at least one agent, plus the
+        # final welfare completion
+        m = pa.gen_warehouse(pa.WarehouseParams(warehouses=3, agents=4, seed=2000))
+        poly = build_polytope(m)
+        model, _ = pa.normalize_rewards(m, poly)
+        res = pa.egalitarian(model, poly)
+        assert res.diagnostics.lp_solves <= model.num_agents + 1
+
     def test_simplex_split(self, simplex2):
         poly = build_polytope(simplex2)
         point = pa.leximin(poly, simplex2.reward_vectors())

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyagg as pa
-from polyagg import volume
+from polyagg import _solver, harness, volume
 from polyagg.mdp import build_polytope
 
 from conftest import unit_box
@@ -51,6 +53,23 @@ class TestAffineHull:
         chart = pa.affine_hull(poly)
         assert chart.dim == 0
         assert np.allclose(chart.origin, 0.0, atol=1e-9)
+
+    def test_transient_state_rows_promoted(self, transient_53):
+        poly = build_polytope(transient_53)
+        before = _solver.solve_count
+        chart = pa.affine_hull(poly)
+        assert _solver.solve_count - before <= 3
+        assert chart.dim == 8
+        assert poly.max_violation(chart.origin) <= 1e-9
+
+    def test_pinned_box_coordinate(self):
+        # 0 <= x3 <= 0 flattens the unit cube to a square
+        cube = unit_box(3)
+        box = pa.OccupancyPolytope(a_ub=cube.a_ub, b_ub=np.array([1.0, 1, 0, 0, 0, 0]),
+                                   a_eq=cube.a_eq, b_eq=cube.b_eq)
+        chart = pa.affine_hull(box)
+        assert chart.dim == 2
+        assert box.max_violation(chart.origin) <= 1e-9
 
 
 class TestSampleUniform:
@@ -108,6 +127,15 @@ class TestSampleUniform:
         cloud = pa.sample_uniform(poly, pa.affine_hull(poly), 12_800, seed=42,
                                   burn_in=2_000, thinning=16)
         assert max(poly.max_violation(x) for x in cloud.points) <= 1e-9
+
+    def test_transient_state_cloud_in_polytope(self, transient_53):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pipe = harness.prepare(transient_53, 2000, seed=5)
+        assert not pipe.cloud.degenerate
+        assert pipe.chart.dim == 8
+        assert np.ptp(pipe.cloud.points, axis=0).max() > 0.01
+        assert max(pipe.poly.max_violation(x) for x in pipe.cloud.points) <= 1e-9
 
     def test_unbounded_axis_raises(self):
         # the strip 0 <= x <= 1 has a Chebyshev center but no bound on y
