@@ -49,7 +49,6 @@ from .instances import (
     random_momdp,
 )
 from .lp import (
-    BinaryVar,
     LinearObjective,
     MilpProgram,
     Solution,

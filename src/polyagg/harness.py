@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,7 +61,6 @@ def nash_welfare(returns) -> float:
 class Pipeline:
     """Shared per-instance artifacts every rule consumes."""
 
-    raw: Momdp
     model: Momdp                    # normalized rewards
     dropped_agents: tuple[int, ...]
     poly: OccupancyPolytope
@@ -82,7 +81,7 @@ def prepare(m: Momdp, samples: int, seed: int, cdf_kind: str = volume.EMPIRICAL,
         volume.estimate_cdf(cloud, model.rewards[i], kind=cdf_kind, agent=i)
         for i in range(model.num_agents)
     )
-    return Pipeline(raw=m, model=model, dropped_agents=tuple(dropped),
+    return Pipeline(model=model, dropped_agents=tuple(dropped),
                     poly=poly, chart=chart, cloud=cloud, cdfs=cdfs)
 
 
@@ -165,23 +164,29 @@ class ExperimentSpec:
     @staticmethod
     def from_json(text: str) -> "ExperimentSpec":
         doc = json.loads(text)
-        rule_specs = tuple(
+        kwargs = {f.name: _JSON_CASTS.get(f.type, _same)(doc[key])
+                  for f, key in _spec_fields() if key in doc}
+        kwargs["rules"] = tuple(
             RuleSpec(name=entry["name"],
                      params={k: v for k, v in entry.items() if k != "name"})
             for entry in doc["rules"]
         )
-        return ExperimentSpec(
-            source=doc["source"],
-            rules=rule_specs,
-            seed=int(doc["seed"]),
-            num_instances=int(doc.get("instances", 1)),
-            samples=int(doc.get("samples", DEFAULT_SAMPLES)),
-            cdf_kind=doc.get("cdf", volume.EMPIRICAL),
-            burn_in=doc.get("burn_in"),
-            thinning=doc.get("thinning"),
-            chains=int(doc.get("chains", volume.DEFAULT_CHAINS)),
-            record_runtime=bool(doc.get("record_runtime", False)),
-        )
+        return ExperimentSpec(**kwargs)
+
+
+# spec JSON keys that differ from their ExperimentSpec field names, and the
+# casts from_json applies by field type
+_RENAMED_KEYS = {"num_instances": "instances", "cdf_kind": "cdf"}
+_JSON_CASTS = {"int": int, "bool": bool}
+
+
+def _same(value):
+    return value
+
+
+def _spec_fields():
+    """Every ExperimentSpec field, in order, with its key in spec JSON."""
+    return [(f, _RENAMED_KEYS.get(f.name, f.name)) for f in fields(ExperimentSpec)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,21 +372,13 @@ def _render_csv(rows, aggregates, record_runtime: bool) -> str:
 
 
 def _render_json(spec, rows, aggregates, failures, results_doc) -> str:
+    spec_doc = {key: getattr(spec, f.name) for f, key in _spec_fields()}
+    spec_doc["rules"] = [
+        {"name": r.name, **{k: _plain(v) for k, v in r.params.items()}}
+        for r in spec.rules
+    ]
     doc = {
-        "spec": {
-            "source": spec.source,
-            "rules": [
-                {"name": r.name, **{k: _plain(v) for k, v in r.params.items()}}
-                for r in spec.rules
-            ],
-            "seed": spec.seed,
-            "instances": spec.num_instances,
-            "samples": spec.samples,
-            "cdf": spec.cdf_kind,
-            "burn_in": spec.burn_in,
-            "thinning": spec.thinning,
-            "chains": spec.chains,
-        },
+        "spec": spec_doc,
         "metrics": [
             {
                 "rule": row.rule,

@@ -6,6 +6,8 @@ linear rows over the occupancy variables, solved by HiGHS branch-and-cut
 (with an exhaustive enumeration oracle for cross-checks).
 
 A halfspace row is a pair ``(coeffs, bound)`` meaning ``coeffs @ d <= bound``.
+Programs over the occupancy variables plus further variables (a floor, a
+hypograph, binaries) stack their rows as blocks below :func:`lifted`.
 """
 
 from __future__ import annotations
@@ -49,66 +51,40 @@ class LinearObjective:
 
 
 @dataclass(frozen=True, eq=False)
-class BinaryVar:
-    """A binary with an activation row: on means ``row_coeffs @ d >= row_lb``.
-
-    The off state must be vacuous (``row_coeffs @ d >= 0`` has to hold
-    everywhere), which is the case for normalized reward rows; this keeps
-    the encoding linear without big-M constants.
-    """
-
-    weight: float
-    row_coeffs: np.ndarray
-    row_lb: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "row_coeffs", np.asarray(self.row_coeffs, dtype=float).reshape(-1)
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class MilpProgram:
-    """Maximize ``d_coeffs @ d + sum_j weight_j z_j`` over the polytope.
+    """Maximize ``weights @ z`` over ``d`` in the polytope and binary ``z``.
 
-    ``binary_rows`` (``coeffs @ z <= ub``) and ``mixed_rows``
-    (``d_coeffs @ d + z_coeffs @ z <= ub``) are optional tightening
-    inequalities; they must be valid cuts - satisfied by every intended
-    integer solution - never part of the model's meaning.
+    Binary j on means ``act_coeffs[j] @ d >= act_lb[j]``.  The off state
+    must be vacuous (``act_coeffs[j] @ d >= 0`` has to hold everywhere),
+    which is the case for normalized reward rows; this keeps the encoding
+    linear without big-M constants.  The optional rows
+    ``cut_d @ d + cut_z @ z <= cut_ub`` must be valid cuts - satisfied by
+    every intended integer solution - never part of the model's meaning.
     """
 
     base: OccupancyPolytope
-    binaries: tuple[BinaryVar, ...]
-    d_coeffs: np.ndarray | None = None
-    binary_rows: tuple[tuple[np.ndarray, float], ...] = ()
-    mixed_rows: tuple[tuple[np.ndarray, np.ndarray, float], ...] = ()
+    weights: np.ndarray      # (nz,)
+    act_coeffs: np.ndarray   # (nz, dim)
+    act_lb: np.ndarray       # (nz,)
+    cut_d: np.ndarray | None = None   # (rows, dim)
+    cut_z: np.ndarray | None = None   # (rows, nz)
+    cut_ub: np.ndarray | None = None  # (rows,)
 
     def __post_init__(self):
-        if len(self.binaries) > MAX_BINARIES:
+        nz, nd = np.size(self.weights), self.base.dim
+        if nz > MAX_BINARIES:
             raise ValueError(f"binary count exceeds the cap of {MAX_BINARIES}")
-        object.__setattr__(self, "binaries", tuple(self.binaries))
-        if self.d_coeffs is not None:
-            c = np.asarray(self.d_coeffs, dtype=float).reshape(-1)
-            if c.shape[0] != self.base.dim:
-                raise ValueError("d_coeffs length must match the polytope dimension")
-            object.__setattr__(self, "d_coeffs", c)
-        rows = tuple(
-            (np.asarray(c, dtype=float).reshape(-1), float(ub))
-            for c, ub in self.binary_rows
-        )
-        for c, _ in rows:
-            if c.shape[0] != len(self.binaries):
-                raise ValueError("binary_rows must span exactly the binary variables")
-        object.__setattr__(self, "binary_rows", rows)
-        mixed = tuple(
-            (np.asarray(dc, dtype=float).reshape(-1),
-             np.asarray(zc, dtype=float).reshape(-1), float(ub))
-            for dc, zc, ub in self.mixed_rows
-        )
-        for dc, zc, _ in mixed:
-            if dc.shape[0] != self.base.dim or zc.shape[0] != len(self.binaries):
-                raise ValueError("mixed_rows must span d then the binaries")
-        object.__setattr__(self, "mixed_rows", mixed)
+        shapes = {"weights": (nz,), "act_coeffs": (nz, nd), "act_lb": (nz,),
+                  "cut_d": (-1, nd), "cut_z": (-1, nz), "cut_ub": (-1,)}
+        for name, shape in shapes.items():
+            value = getattr(self, name)
+            if value is None:  # no cuts
+                value = np.zeros(tuple(max(k, 0) for k in shape))
+            else:
+                value = np.asarray(value, dtype=float).reshape(shape)
+            object.__setattr__(self, name, value)
+        if not self.cut_d.shape[0] == self.cut_z.shape[0] == self.cut_ub.shape[0]:
+            raise ValueError("cut_d, cut_z and cut_ub must have one row each per cut")
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,84 +208,60 @@ def _max_floor(poly, r, unfixed, fixed) -> tuple[float, np.ndarray]:
 
     Returns ``t*`` and the duals (>= 0) of the unfixed agents' rows.
     """
-    dim = poly.dim
-    n_base = poly.a_ub.shape[0]
-    a_ub = np.zeros((n_base + len(unfixed) + len(fixed), dim + 1))
-    b_ub = np.zeros(a_ub.shape[0])
-    a_ub[:n_base, :dim] = poly.a_ub
-    b_ub[:n_base] = poly.b_ub
-    k = n_base
-    for i in unfixed:
-        a_ub[k, :dim] = -r[i]
-        a_ub[k, dim] = 1.0
-        k += 1
-    for j, v in sorted(fixed.items()):
-        a_ub[k, :dim] = -r[j]
-        b_ub[k] = -v
-        k += 1
-    a_eq = np.hstack([poly.a_eq, np.zeros((poly.a_eq.shape[0], 1))])
-    c = np.zeros(dim + 1)
-    c[dim] = -1.0
-    res = _solver.lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=poly.b_eq)
+    pinned = sorted(fixed)
+    a_ub, b_ub, a_eq, b_eq = lifted(poly, 1)
+    a_ub = np.vstack([
+        a_ub,
+        np.hstack([-r[unfixed], np.ones((len(unfixed), 1))]),
+        np.hstack([-r[pinned], np.zeros((len(pinned), 1))]),
+    ])
+    b_ub = np.concatenate([b_ub, np.zeros(len(unfixed)), [-fixed[j] for j in pinned]])
+    c = np.zeros(poly.dim + 1)
+    c[-1] = -1.0
+    res = _solver.lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
     if res.status != _solver.OPTIMAL:
         raise LpFailure("leximin floor LP did not solve")
+    n_base = poly.a_ub.shape[0]
     duals = -res.ineqlin.marginals[n_base : n_base + len(unfixed)]
     return float(-res.fun), duals
+
+
+def lifted(poly: OccupancyPolytope, extra: int):
+    """The polytope's rows over ``[d ; w]`` with ``extra`` further variables w.
+
+    Returns ``(a_ub, b_ub, a_eq, b_eq)`` with ``extra`` zero columns after
+    the occupancy columns; callers stack their own rows below ``a_ub``.
+    """
+    return (np.hstack([poly.a_ub, np.zeros((poly.a_ub.shape[0], extra))]), poly.b_ub,
+            np.hstack([poly.a_eq, np.zeros((poly.a_eq.shape[0], extra))]), poly.b_eq)
 
 
 # --- indicator MILPs ---------------------------------------------------------
 
 
 def _relaxation_system(p: MilpProgram):
-    """Build the shared LP relaxation matrices over variables [d ; z]."""
-    poly = p.base
-    nd, nz = poly.dim, len(p.binaries)
-    width = nd + nz
-    rows = [np.hstack([poly.a_ub, np.zeros((poly.a_ub.shape[0], nz))])]
-    rhs = [poly.b_ub]
-    act = np.zeros((nz, width))
-    for j, b in enumerate(p.binaries):
-        act[j, :nd] = -b.row_coeffs
-        act[j, nd + j] = b.row_lb
-    rows.append(act)
-    rhs.append(np.zeros(nz))
-    if p.binary_rows:
-        brows = np.zeros((len(p.binary_rows), width))
-        brhs = np.zeros(len(p.binary_rows))
-        for k, (coeffs, ub) in enumerate(p.binary_rows):
-            brows[k, nd:] = coeffs
-            brhs[k] = ub
-        rows.append(brows)
-        rhs.append(brhs)
-    if p.mixed_rows:
-        mrows = np.zeros((len(p.mixed_rows), width))
-        mrhs = np.zeros(len(p.mixed_rows))
-        for k, (dc, zc, ub) in enumerate(p.mixed_rows):
-            mrows[k, :nd] = dc
-            mrows[k, nd:] = zc
-            mrhs[k] = ub
-        rows.append(mrows)
-        rhs.append(mrhs)
-    a_ub = np.vstack(rows)
-    b_ub = np.concatenate(rhs)
-    a_eq = np.hstack([poly.a_eq, np.zeros((poly.a_eq.shape[0], nz))])
-    c = np.zeros(width)
-    if p.d_coeffs is not None:
-        c[:nd] = -p.d_coeffs
-    c[nd:] = -np.asarray([b.weight for b in p.binaries], dtype=float)
-    return c, a_ub, b_ub, a_eq, poly.b_eq
+    """The MILP's LP relaxation ``(c, a_ub, b_ub, a_eq, b_eq)`` over ``[d ; z]``."""
+    nz = p.weights.size
+    a_ub, b_ub, a_eq, b_eq = lifted(p.base, nz)
+    activation = np.hstack([-p.act_coeffs, np.diag(p.act_lb)])  # lb_j z_j <= a_j @ d
+    a_ub = np.vstack([a_ub, activation, np.hstack([p.cut_d, p.cut_z])])
+    b_ub = np.concatenate([b_ub, np.zeros(nz), p.cut_ub])
+    c = np.concatenate([np.zeros(p.base.dim), -p.weights])
+    return c, a_ub, b_ub, a_eq, b_eq
 
 
 def milp_solve(p: MilpProgram) -> Solution:
     """Globally optimal solve by HiGHS branch-and-cut.
 
-    One MILP over ``[d ; z]`` with z binary, then one LP with the binaries
-    pinned to the rounded assignment; the point and objective come from that
-    LP, so activation rows hold to LP tolerance rather than to the MILP's
-    integrality tolerance.  Deterministic: HiGHS runs with fixed options.
+    One MILP over ``[d ; z]`` with z binary, whose rows are the polytope's
+    (from :func:`lifted`), then the activation rows, then the cuts; then one
+    LP over the same rows with the binaries pinned to the rounded
+    assignment.  The point and objective come from that LP, so activation
+    rows hold to LP tolerance rather than to the MILP's integrality
+    tolerance.  Deterministic: HiGHS runs with fixed options.
     Reports ITERATION_LIMIT when HiGHS reaches ``NODE_LIMIT`` nodes.
     """
-    nd, nz = p.base.dim, len(p.binaries)
+    nd, nz = p.base.dim, p.weights.size
     c, a_ub, b_ub, a_eq, b_eq = _relaxation_system(p)
     res = _solver.milp(
         c, a_ub, b_ub, a_eq, b_eq,
@@ -343,34 +295,19 @@ def enumerate_milp(p: MilpProgram) -> Solution:
     Independent of the HiGHS MILP path of :func:`milp_solve`; intended for
     cross-checking on programs with few binaries.
     """
-    nz = len(p.binaries)
+    nz = p.weights.size
     if nz > 20:
         raise ValueError("enumeration oracle limited to 20 binaries")
-    weights = np.asarray([b.weight for b in p.binaries], dtype=float)
     best = None
     for mask in range(2**nz):
         z = np.array([(mask >> j) & 1 for j in range(nz)], dtype=float)
-        rows = [
-            (-p.binaries[j].row_coeffs, -p.binaries[j].row_lb)
-            for j in range(nz)
-            if z[j] > 0.5
-        ]
-        for dc, zc, ub in p.mixed_rows:
-            rows.append((dc, ub - float(zc @ z)))
-        ok = True
-        for coeffs, ub in p.binary_rows:
-            if float(coeffs @ z) > ub + 1e-9:
-                ok = False
-                break
-        if not ok:
-            continue
-        obj = LinearObjective(
-            p.d_coeffs if p.d_coeffs is not None else np.zeros(p.base.dim), MAXIMIZE
-        )
-        sol = solve_lp(p.base, rows, obj)
+        on = z > 0.5
+        rows = [*zip(-p.act_coeffs[on], -p.act_lb[on]),
+                *zip(p.cut_d, p.cut_ub - p.cut_z @ z)]
+        sol = solve_lp(p.base, rows, LinearObjective(np.zeros(p.base.dim), MAXIMIZE))
         if sol.status != SolveStatus.OPTIMAL:
             continue
-        value = sol.objective_value + float(weights @ z)
+        value = float(p.weights @ z)
         if best is None or value > best.objective_value + BOUND_TOL:
             best = Solution(
                 status=SolveStatus.OPTIMAL,
@@ -381,19 +318,3 @@ def enumerate_milp(p: MilpProgram) -> Solution:
     if best is None:
         return Solution(status=SolveStatus.INFEASIBLE)
     return best
-
-
-def dump_lp(poly: OccupancyPolytope, extra_rows, obj: LinearObjective) -> str:
-    """Plain-text dump of an LP for external cross-checks.
-
-    Format: one header line ``lp <sense> <dim>``, one ``obj`` line with the
-    coefficients, then ``le``/``eq`` lines with ``coeffs... : bound``.
-    """
-    a_ub, b_ub = _stack_rows(poly, extra_rows)
-    lines = [f"lp {obj.sense} {poly.dim}"]
-    lines.append("obj " + " ".join(repr(v) for v in obj.coeffs))
-    for row, bound in zip(a_ub, b_ub):
-        lines.append("le " + " ".join(repr(v) for v in row) + " : " + repr(float(bound)))
-    for row, bound in zip(poly.a_eq, poly.b_eq):
-        lines.append("eq " + " ".join(repr(v) for v in row) + " : " + repr(float(bound)))
-    return "\n".join(lines) + "\n"

@@ -21,6 +21,7 @@ from .volume import ReturnCdf, SampleCloud
 
 PLURALITY_SLACK = 1e-6   # alpha = 1 threshold is 1 minus this, absorbing LP slack
 COMPLETION_RELAX = 1e-9  # loosen achieved-return bounds by this much
+CONCAVE_KNOTS = 20       # points of F_i on [mode_i, 1] under borda_concave's envelope
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,13 +265,8 @@ def approval_program(
         if cdfs is None:
             raise ValueError("alpha < 1 needs per-agent return CDFs")
         tau = np.array([volume.quantile_inverse(cdfs[i], alpha) for i in range(n)])
-    program = lp.MilpProgram(
-        base=poly,
-        binaries=tuple(
-            lp.BinaryVar(weight=1.0, row_coeffs=rewards[i], row_lb=float(tau[i]))
-            for i in range(n)
-        ),
-    )
+    program = lp.MilpProgram(base=poly, weights=np.ones(n), act_coeffs=rewards,
+                             act_lb=tau)
     return program, tau
 
 
@@ -331,6 +327,8 @@ def borda_milp(
     a_{i,k+1} <= a_{i,k} tighten the relaxation.  The final point is
     welfare-completed with bounds at the achieved returns.
     """
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError("epsilon must lie in (0, 1]")
     levels = 1.0 / epsilon
     if abs(levels - round(levels)) > 1e-9:
         raise ValueError("1/epsilon must be an integer")
@@ -339,41 +337,22 @@ def borda_milp(
     rewards = m.reward_vectors()
     n = m.num_agents
 
-    weights = np.zeros((n, k_max))
-    for i in range(n):
-        grid = np.arange(k_max + 1) * epsilon
-        values = np.asarray(cdfs[i].evaluate(grid))
-        weights[i] = np.diff(values)
-
-    binaries = []
-    for i in range(n):
-        for k in range(1, k_max + 1):
-            binaries.append(
-                lp.BinaryVar(
-                    weight=float(weights[i, k - 1]),
-                    row_coeffs=rewards[i],
-                    row_lb=float(k * epsilon),
-                )
-            )
-    binary_rows = []
-    for i in range(n):
-        base = i * k_max
-        for k in range(k_max - 1):
-            row = np.zeros(len(binaries))
-            row[base + k + 1] = 1.0
-            row[base + k] = -1.0
-            binary_rows.append((row, 0.0))
-    # aggregate tightening per agent: active levels cover at most the return,
-    # epsilon * sum_k a_{i,k} <= <R_i, d>; valid for every intended assignment
-    # and it pins the relaxation to the step function's concave envelope
-    mixed_rows = []
-    for i in range(n):
-        zc = np.zeros(len(binaries))
-        zc[i * k_max:(i + 1) * k_max] = epsilon
-        mixed_rows.append((-rewards[i], zc, 0.0))
+    grid = np.arange(k_max + 1) * epsilon
+    weights = np.diff([cdf.evaluate(grid) for cdf in cdfs], axis=1)  # [agent, level]
+    # binary (i, k) sits at i * k_max + k and means <R_i, d> >= (k + 1) eps;
+    # cuts: monotone rows a_{i,k+1} <= a_{i,k}, then per agent the aggregate
+    # eps * sum_k a_{i,k} <= <R_i, d> (active levels cover at most the return),
+    # which pins the relaxation to the step function's concave envelope
+    monotone = np.eye(k_max - 1, k_max, 1) - np.eye(k_max - 1, k_max)
     program = lp.MilpProgram(
-        base=poly, binaries=tuple(binaries), binary_rows=tuple(binary_rows),
-        mixed_rows=tuple(mixed_rows),
+        base=poly,
+        weights=weights.ravel(),
+        act_coeffs=np.repeat(rewards, k_max, axis=0),
+        act_lb=np.tile(grid[1:], n),
+        cut_d=np.vstack([np.zeros((n * (k_max - 1), poly.dim)), -rewards]),
+        cut_z=np.vstack([np.kron(np.eye(n), monotone),
+                         np.kron(np.eye(n), np.full((1, k_max), epsilon))]),
+        cut_ub=np.zeros(n * k_max),
     )
     sol = lp.milp_solve(program)
     if sol.status == lp.SolveStatus.ITERATION_LIMIT:
@@ -382,15 +361,13 @@ def borda_milp(
         raise LpFailure("Borda MILP did not solve")
     achieved = rewards @ sol.point.flat
     point = lp.pareto_complete(poly, achieved - COMPLETION_RELAX, rewards)
-    indicators = tuple(
-        tuple(sol.binary_assignment[i * k_max + k] for k in range(k_max))
-        for i in range(n)
-    )
+    z = sol.binary_assignment
+    indicators = tuple(z[i * k_max:(i + 1) * k_max] for i in range(n))
     cert = BordaCertificate(
         epsilon=epsilon,
         level_indicators=indicators,
         rounded_score=float(sol.objective_value),
-        weights=tuple(tuple(float(w) for w in weights[i]) for i in range(n)),
+        weights=tuple(tuple(float(w) for w in row) for row in weights),
     )
     return _finish(m, point, cert, watch)
 
@@ -399,15 +376,14 @@ def borda_concave(
     m: Momdp,
     poly: OccupancyPolytope,
     cdfs: list[ReturnCdf],
-    knots: int = 20,
 ) -> RuleResult:
     """Borda winner restricted to the region past every density mode.
 
     There each F_i is concave, so maximizing ``sum_i F_i(<R_i, d>)`` becomes
     one LP over hypograph variables bounded by the piecewise-linear concave
-    upper envelope of F_i sampled at ``knots`` points on [mode_i, 1].  Raises
-    :class:`ConcaveRegionEmpty` when no policy clears every mode (callers
-    should fall back to the MILP variant).
+    upper envelope of F_i sampled at ``CONCAVE_KNOTS`` points on [mode_i, 1].
+    Raises :class:`ConcaveRegionEmpty` when no policy clears every mode
+    (callers should fall back to the MILP variant).
     """
     watch = _Stopwatch()
     rewards = m.reward_vectors()
@@ -417,33 +393,20 @@ def borda_concave(
     if not lp.feasible(poly, mode_rows):
         raise ConcaveRegionEmpty("no policy reaches every agent's density mode")
 
-    nd = poly.dim
-    width = nd + n
-    ub_rows = []
-    ub_rhs = []
-    for row, bound in zip(poly.a_ub, poly.b_ub):
-        ub_rows.append(np.concatenate([row, np.zeros(n)]))
-        ub_rhs.append(float(bound))
-    for coeffs, bound in mode_rows:
-        ub_rows.append(np.concatenate([coeffs, np.zeros(n)]))
-        ub_rhs.append(float(bound))
-    for i in range(n):
-        envelope = _concave_envelope(cdfs[i], modes[i], knots)
-        for slope, intercept in envelope:
-            # t_i <= slope * <R_i, d> + intercept
-            row = np.zeros(width)
-            row[:nd] = -slope * rewards[i]
-            row[nd + i] = 1.0
-            ub_rows.append(row)
-            ub_rhs.append(float(intercept))
-    a_eq = np.hstack([poly.a_eq, np.zeros((poly.a_eq.shape[0], n))])
-    c = np.zeros(width)
-    c[nd:] = -1.0
-    res = _solver.lp(c, a_ub=np.vstack(ub_rows), b_ub=np.asarray(ub_rhs),
-                     a_eq=a_eq, b_eq=poly.b_eq)
+    # variables [d ; t]: t_i <= slope * <R_i, d> + intercept on each segment
+    # of agent i's envelope, and <R_i, d> >= mode_i
+    segments = [_concave_envelope(cdfs[i], modes[i]) for i in range(n)]
+    agent = np.repeat(np.arange(n), [len(seg) for seg in segments])
+    slope, intercept = np.concatenate(segments).T
+    a_ub, b_ub, a_eq, b_eq = lp.lifted(poly, n)
+    a_ub = np.vstack([a_ub, np.hstack([-rewards, np.zeros((n, n))]),
+                      np.hstack([-slope[:, None] * rewards[agent], np.eye(n)[agent]])])
+    b_ub = np.concatenate([b_ub, -modes, intercept])
+    c = np.concatenate([np.zeros(poly.dim), -np.ones(n)])
+    res = _solver.lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
     if res.status != _solver.OPTIMAL:
         raise LpFailure("concave Borda LP did not solve")
-    achieved = rewards @ res.x[:nd]
+    achieved = rewards @ res.x[:poly.dim]
     point = lp.pareto_complete(poly, achieved - COMPLETION_RELAX, rewards)
     score = float(sum(cdfs[i].evaluate(float(rewards[i] @ point.flat)) for i in range(n)))
     cert = ConcaveBordaCertificate(
@@ -454,10 +417,10 @@ def borda_concave(
     return _finish(m, point, cert, watch)
 
 
-def _concave_envelope(cdf: ReturnCdf, mode: float, knots: int):
+def _concave_envelope(cdf: ReturnCdf, mode: float):
     """Line segments (slope, intercept) of the concave majorant of F on [mode, 1]."""
     hi = max(1.0, mode + 1e-6)
-    xs = np.linspace(mode, hi, knots)
+    xs = np.linspace(mode, hi, CONCAVE_KNOTS)
     ys = np.asarray(cdf.evaluate(xs))
     hull = [0]
     for k in range(1, len(xs)):

@@ -23,13 +23,13 @@ from .mdp import OccupancyMeasure, OccupancyPolytope
 EMPIRICAL = "empirical"
 LOGISTIC = "logistic"
 
-HULL_EQ_TOL = 1e-9        # charted points satisfy equalities within this
 INTERIOR_TOL = 1e-10      # minimum Chebyshev radius before degeneracy
 DEFAULT_CHAINS = 64
 LOGISTIC_MAX_DEV = 0.05   # reject a fit whose cdf deviates more than this
 QUANTILE_REL_TOL = 1e-4   # bisection width, relative to the support
 SWEEP_BLOCK_STEPS = 4096  # walk steps per block of random draws, before rounding
 AXIS_ZERO_TOL = 1e-14     # chart-axis entries this small never bound a chord
+MODE_BINS = 100           # histogram bins of mode_estimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,8 +440,8 @@ def centroid_estimate(cloud: SampleCloud) -> OccupancyMeasure:
     return OccupancyMeasure(table=mean.reshape(shape))
 
 
-def mode_estimate(cdf: ReturnCdf, bins: int = 100) -> float:
-    """Density mode via a 100-bin histogram of the sample returns.
+def mode_estimate(cdf: ReturnCdf) -> float:
+    """Density mode via a ``MODE_BINS``-bin histogram of the sample returns.
 
     Ties break toward the lower return (``argmax`` picks the first maximal
     bin); a flat density therefore reports its lowest bin.
@@ -449,7 +449,7 @@ def mode_estimate(cdf: ReturnCdf, bins: int = 100) -> float:
     lo, hi = cdf.support
     if hi <= lo:
         return lo
-    counts, edges = np.histogram(cdf.samples, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(cdf.samples, bins=MODE_BINS, range=(lo, hi))
     k = int(np.argmax(counts))
     return float(0.5 * (edges[k] + edges[k + 1]))
 

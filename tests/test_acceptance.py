@@ -301,7 +301,7 @@ def test_criterion_10_milp_matches_enumeration(mis_battery, max2sat_battery):
     mismatches = 0
     for g, model, poly in mis_battery:
         program, _ = rules.approval_program(model, poly, None, alpha=1.0)
-        if len(program.binaries) > 12:
+        if program.weights.size > 12:
             continue
         a = pa.milp_solve(program)
         b = lp.enumerate_milp(program)
@@ -311,7 +311,7 @@ def test_criterion_10_milp_matches_enumeration(mis_battery, max2sat_battery):
     for f, pipe in max2sat_battery:
         program, _ = rules.approval_program(pipe.model, pipe.poly,
                                             list(pipe.cdfs), alpha=0.95)
-        if len(program.binaries) > 12:
+        if program.weights.size > 12:
             continue
         a = pa.milp_solve(program)
         b = lp.enumerate_milp(program)

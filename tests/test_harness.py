@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyagg as pa
-from polyagg import harness
+from polyagg import harness, volume
 
 
 class TestGini:
@@ -191,6 +192,19 @@ class TestRunExperiment:
         echoed = json.dumps(json.loads(out.json_text)["spec"])
         rerun = harness.run_experiment(harness.ExperimentSpec.from_json(echoed))
         assert rerun.json_text == out.json_text
+
+    def test_echoed_spec_keeps_every_field(self):
+        spec = small_spec(record_runtime=True, burn_in=50, thinning=3, chains=8,
+                          cdf_kind=volume.LOGISTIC)
+        out = harness.run_experiment(spec)
+        echoed = json.dumps(json.loads(out.json_text)["spec"])
+        back = harness.ExperimentSpec.from_json(echoed)
+        for f in dataclasses.fields(harness.ExperimentSpec):
+            if f.name == "rules":
+                assert [(r.name, r.params) for r in back.rules] == \
+                    [(r.name, r.params) for r in spec.rules]
+            else:
+                assert getattr(back, f.name) == getattr(spec, f.name), f.name
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError, match="unknown rule"):

@@ -148,13 +148,8 @@ class TestMilp:
     def _approval_program(self, momdp, thresholds):
         poly = build_polytope(momdp)
         r = momdp.reward_vectors()
-        return lp.MilpProgram(
-            base=poly,
-            binaries=tuple(
-                lp.BinaryVar(weight=1.0, row_coeffs=r[i], row_lb=float(thresholds[i]))
-                for i in range(r.shape[0])
-            ),
-        )
+        return lp.MilpProgram(base=poly, weights=np.ones(r.shape[0]), act_coeffs=r,
+                              act_lb=thresholds)
 
     def test_relaxation_already_integral(self, simplex3):
         # thresholds so weak every agent is satisfiable at once
@@ -178,13 +173,8 @@ class TestMilp:
             norm, _ = pa.normalize_rewards(m, poly)
             r = norm.reward_vectors()
             thresholds = rng.uniform(0.3, 0.9, size=r.shape[0])
-            program = lp.MilpProgram(
-                base=poly,
-                binaries=tuple(
-                    lp.BinaryVar(weight=1.0, row_coeffs=r[i], row_lb=float(thresholds[i]))
-                    for i in range(r.shape[0])
-                ),
-            )
+            program = lp.MilpProgram(base=poly, weights=np.ones(r.shape[0]),
+                                     act_coeffs=r, act_lb=thresholds)
             a = pa.milp_solve(program)
             b = lp.enumerate_milp(program)
             assert a.objective_value == pytest.approx(b.objective_value, abs=1e-6)
@@ -219,37 +209,13 @@ class TestMilp:
         chain_row = np.array([-1.0, 1.0])
         program = lp.MilpProgram(
             base=poly,
-            binaries=(
-                lp.BinaryVar(weight=0.1, row_coeffs=r[0], row_lb=0.9),
-                lp.BinaryVar(weight=1.0, row_coeffs=r[1], row_lb=0.9),
-            ),
-            binary_rows=((chain_row, 0.0),),
+            weights=[0.1, 1.0],
+            act_coeffs=r[:2],
+            act_lb=[0.9, 0.9],
+            cut_d=np.zeros((1, poly.dim)),
+            cut_z=[chain_row],
+            cut_ub=[0.0],
         )
         sol = pa.milp_solve(program)
         z0, z1 = sol.binary_assignment
         assert z1 <= z0
-
-    def test_d_objective_combines_with_weights(self, simplex2):
-        poly = build_polytope(simplex2)
-        r = simplex2.reward_vectors()
-        program = lp.MilpProgram(
-            base=poly,
-            binaries=(lp.BinaryVar(weight=0.5, row_coeffs=r[0], row_lb=0.8),),
-            d_coeffs=r[1],
-        )
-        sol = pa.milp_solve(program)
-        # activating costs 0.8 of agent 2's return but only pays 0.5
-        assert sol.binary_assignment == (0,)
-        assert sol.objective_value == pytest.approx(1.0, abs=1e-6)
-
-
-class TestDumpLp:
-    def test_format(self, simplex2):
-        poly = build_polytope(simplex2)
-        text = lp.dump_lp(poly, [(np.array([1.0, 0.0]), 0.5)],
-                          pa.LinearObjective(np.ones(2), "maximize"))
-        lines = text.splitlines()
-        assert lines[0] == "lp maximize 2"
-        assert lines[1].startswith("obj ")
-        assert any(line.startswith("eq ") for line in lines)
-        assert sum(line.startswith("le ") for line in lines) == 3

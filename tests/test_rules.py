@@ -266,10 +266,11 @@ class TestBordaMilp:
             pa.borda_milp(simplex3_pipe.model, simplex3_pipe.poly,
                           list(simplex3_pipe.cdfs))
 
-    def test_epsilon_must_divide_one(self, simplex2_pipe):
+    @pytest.mark.parametrize("epsilon", [0.3, 0, -0.05, -0.5])
+    def test_epsilon_must_divide_one(self, simplex2_pipe, epsilon):
         with pytest.raises(ValueError):
             pa.borda_milp(simplex2_pipe.model, simplex2_pipe.poly,
-                          list(simplex2_pipe.cdfs), epsilon=0.3)
+                          list(simplex2_pipe.cdfs), epsilon=epsilon)
 
     def test_simplex2_flat_score(self, simplex2_pipe):
         res = pa.borda_milp(simplex2_pipe.model, simplex2_pipe.poly,
