@@ -5,7 +5,8 @@ Subcommands:
   polyagg aggregate --momdp FILE --rule NAME ...  run one rule on one model
   polyagg experiment --spec FILE.json             run a full comparison
 
-Exit codes: 0 on success, 2 for infeasible or degenerate input, 3 when a
+Exit codes: 0 on success, 2 for infeasible or degenerate input or a
+parameter out of range (a ``ValueError``, such as ``--epsilon 0``), 3 when a
 solver budget was exhausted.
 """
 
@@ -167,7 +168,7 @@ def main(argv=None) -> int:
         if args.command == "aggregate":
             return _cmd_aggregate(args)
         return _cmd_experiment(args)
-    except _INFEASIBLE_ERRORS as exc:
+    except (*_INFEASIBLE_ERRORS, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except MilpBudgetExhausted as exc:

@@ -186,12 +186,18 @@ def leximin(poly: OccupancyPolytope, reward_vectors) -> OccupancyMeasure:
     it loses nothing.  The dual constraint of ``t`` makes the unfixed rows'
     duals sum to 1, so the largest is at least 1/n and every round pins an
     agent.  Returns the welfare-maximizing point of the final region.
+
+    Pins sit ``FEAS_TOL`` below ``t*``: the floor LP reports ``t*`` only to
+    solver tolerance, and pins at ``t*`` itself can leave the welfare
+    completion infeasible.  An agent with an all-zero reward vector is
+    pinned at 0 up front; its floor row ``t <= 0`` would be a singleton row,
+    whose dual the solver may move onto the bound of ``t``.
     """
     r = np.atleast_2d(np.asarray(reward_vectors, dtype=float))
     n_agents, dim = r.shape
     if dim != poly.dim:
         raise ValueError("reward vectors must match the polytope dimension")
-    fixed: dict[int, float] = {}
+    fixed = {i: 0.0 for i in range(n_agents) if not r[i].any()}
     while len(fixed) < n_agents:
         unfixed = [i for i in range(n_agents) if i not in fixed]
         t_star, duals = _max_floor(poly, r, unfixed, fixed)
@@ -199,7 +205,7 @@ def leximin(poly: OccupancyPolytope, reward_vectors) -> OccupancyMeasure:
         if not newly:
             raise LpFailure("leximin floor LP has no positive dual to pin an agent")
         for i in newly:
-            fixed[i] = t_star
+            fixed[i] = t_star - FEAS_TOL
     return pareto_complete(poly, [fixed[i] for i in range(n_agents)], r)
 
 

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dger
 from scipy.optimize import least_squares
 
 from . import _solver
@@ -261,10 +262,11 @@ def sample_uniform(
     total_steps = burn_in + per_chain * thinning
     block = -(-SWEEP_BLOCK_STEPS // dim) * dim   # whole sweeps per draw
     y = np.zeros((dim, chains))
-    slack = np.tile(hy[:, None], (1, chains))    # (rows, chains)
+    slack = np.tile(hy[:, None], (1, chains))    # (rows, chains), C order
     records = np.empty((per_chain, chains, dim))
     rec = 0
     ratio = np.empty((gy.shape[0], chains))
+    t, t_hi, t_lo = np.empty(chains), np.empty(chains), np.empty(chains)
     for step in range(total_steps):
         j = step % block
         if j == 0:
@@ -273,18 +275,23 @@ def sample_uniform(
             uniforms = rng.random((block, chains))
         k = order[j]
         rows, inv, n_pos, col = axes[k]
-        r = np.take(slack, rows, axis=0, out=ratio[: rows.size])
+        # rows are valid indices by construction; "clip" writes straight
+        # into ``out`` where the default "raise" gathers into a buffer first
+        r = np.take(slack, rows, axis=0, out=ratio[: rows.size], mode="clip")
         r *= inv
-        t_hi = r[:n_pos].min(axis=0)
-        t_lo = r[n_pos:].max(axis=0)
-        t = t_hi - t_lo
+        np.minimum.reduce(r[:n_pos], axis=0, out=t_hi)
+        np.maximum.reduce(r[n_pos:], axis=0, out=t_lo)
+        np.subtract(t_hi, t_lo, out=t)
         t *= uniforms[j]
         t += t_lo
         t[t_hi < t_lo] = 0.0   # drift left an empty chord: stay put
         y[k] += t
-        slack -= col * t
+        # slack -= col t^T as one in-place BLAS rank-1 update: slack.T is
+        # the Fortran-ordered (chains, rows) view dger writes through
+        dger(-1.0, t, col, a=slack.T, overwrite_a=1)
         if (step + 1) % 512 == 0:
-            slack = hy[:, None] - gy @ y  # resync against drift
+            np.matmul(gy, y, out=slack)   # resync against drift
+            np.subtract(hy[:, None], slack, out=slack)
         if step >= burn_in and (step - burn_in + 1) % thinning == 0:
             records[rec] = y.T
             rec += 1
@@ -298,16 +305,17 @@ def _axis_rows(column):
     """Rows bounding the chord along one chart axis: positive entries first.
 
     Returns the row indices, their reciprocal entries as a (rows, 1) column,
-    the number of positive rows, and the whole column as (rows, 1).  A chord
-    y + t e_k stays feasible while t * column <= slack, so positive rows
-    bound t above at slack / column and negative rows bound it below.
+    the number of positive rows, and a contiguous copy of the whole column
+    (the rank-1 update's vector).  A chord y + t e_k stays feasible while
+    t * column <= slack, so positive rows bound t above at slack / column
+    and negative rows bound it below.
     """
     pos = np.flatnonzero(column > AXIS_ZERO_TOL)
     neg = np.flatnonzero(column < -AXIS_ZERO_TOL)
     if pos.size == 0 or neg.size == 0:
         raise DegeneratePolytope("polytope is unbounded along a chart axis")
     rows = np.concatenate([pos, neg])
-    return rows, (1.0 / column[rows])[:, None], pos.size, column[:, None]
+    return rows, (1.0 / column[rows])[:, None], pos.size, np.ascontiguousarray(column)
 
 
 def vol_fraction(cloud: SampleCloud, halfspace) -> FractionEstimate:

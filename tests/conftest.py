@@ -102,6 +102,16 @@ def unit_box(dim):
     )
 
 
+def strip():
+    """The strip 0 <= x <= 1 with y free: a Chebyshev center, no bound on y."""
+    return pa.OccupancyPolytope(
+        a_ub=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+        b_ub=np.array([1.0, 0.0]),
+        a_eq=np.zeros((0, 2)),
+        b_eq=np.zeros(0),
+    )
+
+
 def random_policy(num_states, num_actions, rng):
     pi = rng.dirichlet(np.ones(num_actions), size=num_states)
     pi /= pi.sum(axis=1, keepdims=True)

@@ -76,6 +76,17 @@ class TestAggregate:
                        "--seed", 1, "--samples", 500, "--out", tmp_path / "x")
         assert code == 2
 
+    def test_out_of_range_parameter_exit_code(self, tmp_path, capsys):
+        momdp = tmp_path / "m.json"
+        run_cli("gen", "simplex", "--actions", 2, "--out", momdp)
+        code = run_cli("aggregate", "--momdp", momdp, "--rule", "borda-milp",
+                       "--epsilon", 0, "--seed", 1, "--samples", 500,
+                       "--out", tmp_path / "z")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: epsilon must lie in (0, 1]")
+        assert "Traceback" not in err
+
     def test_budget_exit_code(self, tmp_path, monkeypatch):
         import polyagg.harness as harness_mod
 

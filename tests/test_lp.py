@@ -5,6 +5,8 @@ import polyagg as pa
 from polyagg import _solver, lp
 from polyagg.mdp import MASS_TOL, build_polytope
 
+from conftest import strip
+
 
 @pytest.fixture
 def simplex3_poly(simplex3):
@@ -40,6 +42,45 @@ class TestSolveLp:
         b = pa.solve_lp(simplex3_poly, (), obj)
         assert np.array_equal(a.point.flat, b.point.flat)
         assert a.objective_value == b.objective_value
+
+
+class TestImpliedBounds:
+    def test_singleton_row_becomes_bound(self, monkeypatch):
+        seen = {}
+        linprog = _solver.linprog
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(_solver, "linprog", spy)
+        res = _solver.lp([-1.0, -1.0], a_ub=[[2.0, 0.0], [1.0, 1.0], [0.0, -1.0]],
+                         b_ub=[3.0, 5.0, 0.0])
+        assert seen["bounds"].tolist() == [[-np.inf, 1.5], [0.0, np.inf]]
+        assert res.status == _solver.OPTIMAL
+        assert res.fun == pytest.approx(-5.0)
+
+    def test_marginals_keep_one_entry_per_row_in_order(self):
+        # max x + 2y over x + y <= 1 with x, y >= 0 as singleton rows around
+        # it and one slack row last: only x + y <= 1 has a dual of its own
+        res = _solver.lp([-1.0, -2.0],
+                         a_ub=[[-1.0, 0.0], [1.0, 1.0], [0.0, -1.0], [1.0, -2.0]],
+                         b_ub=[0.0, 1.0, 0.0, 5.0])
+        assert res.x == pytest.approx([0.0, 1.0])
+        marginals = res.ineqlin.marginals
+        assert marginals.shape == (4,)
+        assert marginals[1] == pytest.approx(-2.0)
+        assert marginals[2] == pytest.approx(0.0)
+        assert marginals[3] == pytest.approx(0.0)
+
+    def test_strip_charts_and_solves_with_y_free(self):
+        poly = strip()
+        assert pa.affine_hull(poly).dim == 2
+        res = _solver.lp([1.0, 0.0], a_ub=poly.a_ub, b_ub=poly.b_ub)
+        assert res.status == _solver.OPTIMAL
+        assert res.x[0] == pytest.approx(0.0)
+        with pytest.raises(pa.LpFailure):  # y unbounded below
+            _solver.lp([0.0, 1.0], a_ub=poly.a_ub, b_ub=poly.b_ub)
 
 
 class TestParetoComplete:
@@ -92,6 +133,31 @@ class TestLeximin:
         model, _ = pa.normalize_rewards(m, poly)
         res = pa.egalitarian(model, poly)
         assert res.diagnostics.lp_solves <= model.num_agents + 1
+
+    @pytest.mark.parametrize("seed", [1843504253, 2000, 2001, 2002, 2003, 2004])
+    def test_warehouse_returns_meet_pins(self, seed, monkeypatch):
+        # on seed 1843504253 the round-3 floor LP reports t* a few ulps above
+        # 1 and pins at t* itself left the welfare completion infeasible
+        m = pa.gen_warehouse(pa.WarehouseParams(warehouses=3, agents=4, seed=seed))
+        poly = build_polytope(m)
+        model, _ = pa.normalize_rewards(m, poly)
+        r = model.reward_vectors()
+        pins = []
+        complete = lp.pareto_complete
+
+        def spy(poly, lower_bounds, reward_vectors):
+            pins.append(np.asarray(lower_bounds))
+            return complete(poly, lower_bounds, reward_vectors)
+
+        monkeypatch.setattr(lp, "pareto_complete", spy)
+        point = lp.leximin(poly, r)
+        assert np.all(r @ point.flat >= pins[0] - lp.FEAS_TOL)
+
+    def test_zero_reward_agent_pinned_at_zero(self, simplex3):
+        poly = build_polytope(simplex3)
+        r = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        point = pa.leximin(poly, r)
+        assert r @ point.flat == pytest.approx([1.0, 0.0], abs=1e-6)
 
     def test_simplex_split(self, simplex2):
         poly = build_polytope(simplex2)

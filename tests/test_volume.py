@@ -9,7 +9,7 @@ import polyagg as pa
 from polyagg import _solver, harness, volume
 from polyagg.mdp import build_polytope
 
-from conftest import unit_box
+from conftest import strip, unit_box
 
 SAMPLES = 20_000
 
@@ -128,6 +128,18 @@ class TestSampleUniform:
                                   burn_in=2_000, thinning=16)
         assert max(poly.max_violation(x) for x in cloud.points) <= 1e-9
 
+    @pytest.mark.parametrize("name", ["warehouse", "box"])
+    def test_walk_without_resync_stays_in_polytope(self, name):
+        # 100 + 300 steps, under the 512 between resyncs: every record rests
+        # on the rank-1 slack updates alone
+        if name == "warehouse":
+            poly = build_polytope(pa.gen_warehouse(pa.WarehouseParams(3, 4, seed=2000)))
+        else:
+            poly = unit_box(5)
+        cloud = pa.sample_uniform(poly, pa.affine_hull(poly), 64 * 300, seed=3,
+                                  burn_in=100, thinning=1)
+        assert max(poly.max_violation(x) for x in cloud.points) <= 1e-9
+
     def test_transient_state_cloud_in_polytope(self, transient_53):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -138,15 +150,9 @@ class TestSampleUniform:
         assert max(pipe.poly.max_violation(x) for x in pipe.cloud.points) <= 1e-9
 
     def test_unbounded_axis_raises(self):
-        # the strip 0 <= x <= 1 has a Chebyshev center but no bound on y
-        strip = pa.OccupancyPolytope(
-            a_ub=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-            b_ub=np.array([1.0, 0.0]),
-            a_eq=np.zeros((0, 2)),
-            b_eq=np.zeros(0),
-        )
+        poly = strip()
         with pytest.raises(pa.DegeneratePolytope, match="unbounded"):
-            pa.sample_uniform(strip, pa.affine_hull(strip), 100, seed=0)
+            pa.sample_uniform(poly, pa.affine_hull(poly), 100, seed=0)
 
     def test_degenerate_polytope_repeats_point(self, two_cycle):
         poly = build_polytope(two_cycle)
