@@ -10,14 +10,6 @@ polytope) HiGHS LP presolve can declare a feasible system infeasible, which
 breaks the plurality encoding.  :func:`milp` keeps presolve on: without it
 HiGHS branch-and-cut hits numerical solve errors on the same plurality
 programs, and with it, it closes them.
-
-With presolve off, HiGHS sees nonnegativity only as the polytope's ``-I``
-rows and starts from free columns, which it must pivot into the basis one
-by one.  Both :func:`lp` and :func:`milp` therefore tighten each variable's
-bounds by every ``a_ub`` row with a single nonzero (on an occupancy
-polytope this gives ``x >= 0``).  Those rows stay in the program, so row
-indices and ``ineqlin.marginals`` keep one entry per ``a_ub`` row, in
-order; a dual can move between such a row and its bound.
 """
 
 from __future__ import annotations
@@ -47,49 +39,23 @@ def _or_none(a):
     return a if a.size else None
 
 
-def _implied_bounds(a_ub, b_ub, lower, upper):
-    """Tighten ``lower``/``upper`` in place by the rows of ``a_ub`` with one
-    nonzero: ``a x_j <= b`` bounds ``x_j`` above by ``b / a`` when ``a > 0``
-    and below when ``a < 0``.  Crossed bounds make HiGHS report infeasible.
-    """
-    nonzero = a_ub != 0
-    single = np.flatnonzero(np.count_nonzero(nonzero, axis=1) == 1)
-    if single.size == 0:
-        return
-    cols = np.argmax(nonzero[single], axis=1)
-    coef = a_ub[single, cols]
-    bound = b_ub[single] / coef
-    up = coef > 0
-    np.minimum.at(upper, cols[up], bound[up])
-    np.maximum.at(lower, cols[~up], bound[~up])
-
-
 def lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(None, None)):
     """Solve ``min c @ x`` subject to ``a_ub x <= b_ub`` and ``a_eq x = b_eq``.
 
-    Variables are free by default (the callers encode all structure as
-    explicit rows); ``bounds`` takes linprog's forms, and the singleton rows
-    of ``a_ub`` tighten it (see the module docstring).  Returns the scipy
+    Variables are free by default; ``bounds`` takes linprog's forms (an
+    occupancy polytope passes ``x >= 0`` here).  Returns the scipy
     result object; raises :class:`LpFailure` on unbounded or numerically
     failed solves, which no well-formed polyagg program should produce.
     """
     global solve_count
     solve_count += 1
-    c = np.asarray(c, dtype=float)
-    a_ub, b_ub = _or_none(a_ub), _or_none(b_ub)
-    # one (lo, hi) pair for all variables or one each; None reads as nan
-    b = np.broadcast_to(np.array(bounds, dtype=float).reshape(-1, 2), (c.size, 2))
-    lower = np.where(np.isnan(b[:, 0]), -np.inf, b[:, 0])
-    upper = np.where(np.isnan(b[:, 1]), np.inf, b[:, 1])
-    if a_ub is not None:
-        _implied_bounds(a_ub, b_ub, lower, upper)
     res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
+        np.asarray(c, dtype=float),
+        A_ub=_or_none(a_ub),
+        b_ub=_or_none(b_ub),
         A_eq=_or_none(a_eq),
         b_eq=_or_none(b_eq),
-        bounds=np.column_stack([lower, upper]),
+        bounds=bounds,
         method="highs",
         options={"presolve": False},
     )
@@ -109,12 +75,8 @@ def milp(c, a_ub, b_ub, a_eq, b_eq, lower, upper, integrality, node_limit):
     """
     global solve_count
     solve_count += 1
-    lower = np.array(lower, dtype=float)
-    upper = np.array(upper, dtype=float)
     constraints = []
     if a_ub is not None and np.size(a_ub):
-        a_ub, b_ub = np.asarray(a_ub, dtype=float), np.asarray(b_ub, dtype=float)
-        _implied_bounds(a_ub, b_ub, lower, upper)
         constraints.append(LinearConstraint(a_ub, -np.inf, b_ub))
     if a_eq is not None and np.size(a_eq):
         constraints.append(LinearConstraint(a_eq, b_eq, b_eq))

@@ -5,9 +5,9 @@ Subcommands:
   polyagg aggregate --momdp FILE --rule NAME ...  run one rule on one model
   polyagg experiment --spec FILE.json             run a full comparison
 
-Exit codes: 0 on success, 2 for infeasible or degenerate input or a
-parameter out of range (a ``ValueError``, such as ``--epsilon 0``), 3 when a
-solver budget was exhausted.
+Exit codes: 0 on success, 2 for infeasible or degenerate input, a parameter
+out of range or a JSON file missing a required key (a ``ValueError``, such
+as ``--epsilon 0``), 3 when a solver budget was exhausted.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -163,14 +163,19 @@ class ExperimentSpec:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentSpec":
+        """Parse spec JSON; a missing key raises :class:`ValueError`."""
         doc = json.loads(text)
-        kwargs = {f.name: _JSON_CASTS.get(f.type, _same)(doc[key])
-                  for f, key in _spec_fields() if key in doc}
-        kwargs["rules"] = tuple(
-            RuleSpec(name=entry["name"],
-                     params={k: v for k, v in entry.items() if k != "name"})
-            for entry in doc["rules"]
-        )
+        try:
+            # a field without a default is looked up even when absent
+            kwargs = {f.name: _JSON_CASTS.get(f.type, _same)(doc[key])
+                      for f, key in _spec_fields() if key in doc or f.default is MISSING}
+            kwargs["rules"] = tuple(
+                RuleSpec(name=entry["name"],
+                         params={k: v for k, v in entry.items() if k != "name"})
+                for entry in doc["rules"]
+            )
+        except KeyError as exc:
+            raise ValueError(f"experiment spec lacks the key {exc.args[0]!r}") from None
         return ExperimentSpec(**kwargs)
 
 

@@ -6,8 +6,10 @@ linear rows over the occupancy variables, solved by HiGHS branch-and-cut
 (with an exhaustive enumeration oracle for cross-checks).
 
 A halfspace row is a pair ``(coeffs, bound)`` meaning ``coeffs @ d <= bound``.
-Programs over the occupancy variables plus further variables (a floor, a
-hypograph, binaries) stack their rows as blocks below :func:`lifted`.
+Every solve takes ``d >= 0`` as variable bounds.  Programs over the
+occupancy variables plus further variables (a floor, a hypograph, binaries)
+stack their rows as blocks below :func:`lifted`, which also gives their
+bounds.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import _solver
 from .errors import InfeasibleBounds, LpFailure
-from .mdp import OccupancyMeasure, OccupancyPolytope
+from .mdp import NONNEGATIVE, OccupancyMeasure, OccupancyPolytope
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
@@ -113,9 +115,8 @@ def solve_lp(poly: OccupancyPolytope, extra_rows, obj: LinearObjective) -> Solut
         raise ValueError("objective length must match the polytope dimension")
     a_ub, b_ub = _stack_rows(poly, extra_rows)
     sign = -1.0 if obj.sense == MAXIMIZE else 1.0
-    res = _solver.lp(
-        sign * obj.coeffs, a_ub=a_ub, b_ub=b_ub, a_eq=poly.a_eq, b_eq=poly.b_eq
-    )
+    res = _solver.lp(sign * obj.coeffs, a_ub=a_ub, b_ub=b_ub,
+                     a_eq=poly.a_eq, b_eq=poly.b_eq, bounds=NONNEGATIVE)
     if res.status == _solver.INFEASIBLE:
         return Solution(status=SolveStatus.INFEASIBLE)
     if res.status == _solver.ITERATION_LIMIT:
@@ -144,9 +145,8 @@ def _measure_from_vector(x: np.ndarray, poly: OccupancyPolytope) -> OccupancyMea
 def feasible(poly: OccupancyPolytope, extra_rows) -> bool:
     """Feasibility probe for the polytope plus extra halfspaces."""
     a_ub, b_ub = _stack_rows(poly, extra_rows)
-    res = _solver.lp(
-        np.zeros(poly.dim), a_ub=a_ub, b_ub=b_ub, a_eq=poly.a_eq, b_eq=poly.b_eq
-    )
+    res = _solver.lp(np.zeros(poly.dim), a_ub=a_ub, b_ub=b_ub,
+                     a_eq=poly.a_eq, b_eq=poly.b_eq, bounds=NONNEGATIVE)
     return res.status != _solver.INFEASIBLE
 
 
@@ -189,15 +189,13 @@ def leximin(poly: OccupancyPolytope, reward_vectors) -> OccupancyMeasure:
 
     Pins sit ``FEAS_TOL`` below ``t*``: the floor LP reports ``t*`` only to
     solver tolerance, and pins at ``t*`` itself can leave the welfare
-    completion infeasible.  An agent with an all-zero reward vector is
-    pinned at 0 up front; its floor row ``t <= 0`` would be a singleton row,
-    whose dual the solver may move onto the bound of ``t``.
+    completion infeasible.
     """
     r = np.atleast_2d(np.asarray(reward_vectors, dtype=float))
     n_agents, dim = r.shape
     if dim != poly.dim:
         raise ValueError("reward vectors must match the polytope dimension")
-    fixed = {i: 0.0 for i in range(n_agents) if not r[i].any()}
+    fixed: dict[int, float] = {}
     while len(fixed) < n_agents:
         unfixed = [i for i in range(n_agents) if i not in fixed]
         t_star, duals = _max_floor(poly, r, unfixed, fixed)
@@ -215,7 +213,7 @@ def _max_floor(poly, r, unfixed, fixed) -> tuple[float, np.ndarray]:
     Returns ``t*`` and the duals (>= 0) of the unfixed agents' rows.
     """
     pinned = sorted(fixed)
-    a_ub, b_ub, a_eq, b_eq = lifted(poly, 1)
+    a_ub, b_ub, a_eq, b_eq, bounds = lifted(poly, 1)
     a_ub = np.vstack([
         a_ub,
         np.hstack([-r[unfixed], np.ones((len(unfixed), 1))]),
@@ -224,7 +222,7 @@ def _max_floor(poly, r, unfixed, fixed) -> tuple[float, np.ndarray]:
     b_ub = np.concatenate([b_ub, np.zeros(len(unfixed)), [-fixed[j] for j in pinned]])
     c = np.zeros(poly.dim + 1)
     c[-1] = -1.0
-    res = _solver.lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    res = _solver.lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds)
     if res.status != _solver.OPTIMAL:
         raise LpFailure("leximin floor LP did not solve")
     n_base = poly.a_ub.shape[0]
@@ -233,27 +231,34 @@ def _max_floor(poly, r, unfixed, fixed) -> tuple[float, np.ndarray]:
 
 
 def lifted(poly: OccupancyPolytope, extra: int):
-    """The polytope's rows over ``[d ; w]`` with ``extra`` further variables w.
+    """The polytope over ``[d ; w]`` with ``extra`` further variables w.
 
-    Returns ``(a_ub, b_ub, a_eq, b_eq)`` with ``extra`` zero columns after
-    the occupancy columns; callers stack their own rows below ``a_ub``.
+    Returns ``(a_ub, b_ub, a_eq, b_eq, bounds)``: the rows with ``extra``
+    zero columns after the occupancy columns, and a ``(dim + extra, 2)``
+    array of variable bounds, ``d >= 0`` and w free.  Callers stack their
+    own rows below ``a_ub`` and may bound w further.
     """
+    bounds = np.tile([0.0, np.inf], (poly.dim + extra, 1))
+    bounds[poly.dim:, 0] = -np.inf
     return (np.hstack([poly.a_ub, np.zeros((poly.a_ub.shape[0], extra))]), poly.b_ub,
-            np.hstack([poly.a_eq, np.zeros((poly.a_eq.shape[0], extra))]), poly.b_eq)
+            np.hstack([poly.a_eq, np.zeros((poly.a_eq.shape[0], extra))]), poly.b_eq,
+            bounds)
 
 
 # --- indicator MILPs ---------------------------------------------------------
 
 
 def _relaxation_system(p: MilpProgram):
-    """The MILP's LP relaxation ``(c, a_ub, b_ub, a_eq, b_eq)`` over ``[d ; z]``."""
+    """The MILP's LP relaxation ``(c, a_ub, b_ub, a_eq, b_eq, bounds)`` over
+    ``[d ; z]``, with ``0 <= z <= 1``."""
     nz = p.weights.size
-    a_ub, b_ub, a_eq, b_eq = lifted(p.base, nz)
+    a_ub, b_ub, a_eq, b_eq, bounds = lifted(p.base, nz)
+    bounds[p.base.dim:] = (0.0, 1.0)
     activation = np.hstack([-p.act_coeffs, np.diag(p.act_lb)])  # lb_j z_j <= a_j @ d
     a_ub = np.vstack([a_ub, activation, np.hstack([p.cut_d, p.cut_z])])
     b_ub = np.concatenate([b_ub, np.zeros(nz), p.cut_ub])
     c = np.concatenate([np.zeros(p.base.dim), -p.weights])
-    return c, a_ub, b_ub, a_eq, b_eq
+    return c, a_ub, b_ub, a_eq, b_eq, bounds
 
 
 def milp_solve(p: MilpProgram) -> Solution:
@@ -268,11 +273,9 @@ def milp_solve(p: MilpProgram) -> Solution:
     Reports ITERATION_LIMIT when HiGHS reaches ``NODE_LIMIT`` nodes.
     """
     nd, nz = p.base.dim, p.weights.size
-    c, a_ub, b_ub, a_eq, b_eq = _relaxation_system(p)
+    c, a_ub, b_ub, a_eq, b_eq, bounds = _relaxation_system(p)
     res = _solver.milp(
-        c, a_ub, b_ub, a_eq, b_eq,
-        lower=np.concatenate([np.full(nd, -np.inf), np.zeros(nz)]),
-        upper=np.concatenate([np.full(nd, np.inf), np.ones(nz)]),
+        c, a_ub, b_ub, a_eq, b_eq, lower=bounds[:, 0], upper=bounds[:, 1],
         integrality=np.concatenate([np.zeros(nd), np.ones(nz)]),
         node_limit=NODE_LIMIT,
     )
@@ -282,7 +285,7 @@ def milp_solve(p: MilpProgram) -> Solution:
     if res.status == _solver.ITERATION_LIMIT:
         return Solution(status=SolveStatus.ITERATION_LIMIT, nodes=nodes)
     z = np.round(res.x[nd:])
-    bounds = [(None, None)] * nd + [(v, v) for v in z]
+    bounds[nd:] = z[:, None]
     fixed = _solver.lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds)
     if fixed.status != _solver.OPTIMAL:
         raise LpFailure("MILP assignment is infeasible once its binaries are pinned")

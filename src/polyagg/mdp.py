@@ -23,6 +23,8 @@ MASS_TOL = 1e-7         # occupancy mass and polytope constraint slack
 DENOM_TOL = 1e-12       # occupancy-to-policy denominator cutoff
 INDIFFERENCE_TOL = 1e-9  # J-range below which an agent is dropped
 
+NONNEGATIVE = (0.0, None)  # solver bounds of every polytope variable
+
 
 def _freeze(a, dtype=float):
     """Copy to a C-contiguous read-only array."""
@@ -168,8 +170,11 @@ class Policy:
 
 @dataclass(frozen=True, eq=False)
 class OccupancyPolytope:
-    """H-representation of a polytope: ``a_ub x <= b_ub`` and ``a_eq x = b_eq``.
+    """H-representation of a polytope in the nonnegative orthant:
+    ``x >= 0``, ``a_ub x <= b_ub`` and ``a_eq x = b_eq``.
 
+    ``x >= 0`` is never stored as rows; every solve over the polytope
+    passes it to the solver as variable bounds (:data:`NONNEGATIVE`).
     Construction certifies nonemptiness with one feasibility solve.  The
     equality rows of occupancy polytopes are emitted in a fixed order: the
     unit-mass row first, then one flow row per state.  ``table_shape``
@@ -196,9 +201,8 @@ class OccupancyPolytope:
             raise ValueError("inequality and equality systems must share a dimension")
         for name, arr in (("a_ub", a_ub), ("b_ub", b_ub), ("a_eq", a_eq), ("b_eq", b_eq)):
             object.__setattr__(self, name, arr)
-        res = _solver.lp(
-            np.zeros(self.dim), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq
-        )
+        res = _solver.lp(np.zeros(self.dim), a_ub=a_ub, b_ub=b_ub,
+                         a_eq=a_eq, b_eq=b_eq, bounds=NONNEGATIVE)
         if res.status == _solver.INFEASIBLE:
             raise InfeasibleModel("polytope is empty")
 
@@ -213,9 +217,10 @@ class OccupancyPolytope:
         return np.asarray(x, dtype=float).reshape(-1)
 
     def max_violation(self, x) -> float:
-        """Largest constraint violation of ``x`` (0 means strictly feasible)."""
+        """Largest constraint violation of ``x``, ``x >= 0`` included (0 means
+        feasible)."""
         v = self._vector(x)
-        worst = 0.0
+        worst = max(0.0, -float(v.min(initial=0.0)))
         if self.a_ub.shape[0]:
             worst = max(worst, float(np.max(self.a_ub @ v - self.b_ub)))
         if self.a_eq.shape[0]:
@@ -235,11 +240,11 @@ def build_polytope(m: Momdp) -> OccupancyPolytope:
     Discounted criterion: d >= 0 and for every state s
     ``sum_a d(s,a) = (1-gamma) d_init(s) + gamma sum_{s',a'} P(s',a',s) d(s',a')``;
     the unit-mass row is implied but emitted anyway as a numerical anchor.
+
+    ``d >= 0`` is the polytope's orthant, so no inequality rows are emitted.
     """
     s, a = m.num_states, m.num_actions
     n = s * a
-    a_ub = -np.eye(n)
-    b_ub = np.zeros(n)
     # marginal[s, (s', a')] = 1 if s' == s
     marginal = np.kron(np.eye(s), np.ones((1, a))).reshape(s, n)
     # inflow[s, (s', a')] = P(s', a', s)
@@ -253,9 +258,8 @@ def build_polytope(m: Momdp) -> OccupancyPolytope:
     a_eq = np.vstack([np.ones((1, n)), flow])
     b_eq = np.concatenate([[1.0], rhs])
     try:
-        return OccupancyPolytope(
-            a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, table_shape=(s, a)
-        )
+        return OccupancyPolytope(a_ub=np.zeros((0, n)), b_ub=np.zeros(0),
+                                 a_eq=a_eq, b_eq=b_eq, table_shape=(s, a))
     except InfeasibleModel as exc:
         raise InfeasibleModel(
             "no feasible occupancy measure; transition data is malformed"
@@ -319,8 +323,9 @@ def expected_return(d: OccupancyMeasure, reward_table) -> float:
 
 
 def _agent_return_bounds(poly: OccupancyPolytope, reward_vec: np.ndarray) -> tuple[float, float]:
-    lo = _solver.lp(reward_vec, a_ub=poly.a_ub, b_ub=poly.b_ub, a_eq=poly.a_eq, b_eq=poly.b_eq)
-    hi = _solver.lp(-reward_vec, a_ub=poly.a_ub, b_ub=poly.b_ub, a_eq=poly.a_eq, b_eq=poly.b_eq)
+    lo, hi = (_solver.lp(c, a_ub=poly.a_ub, b_ub=poly.b_ub, a_eq=poly.a_eq,
+                         b_eq=poly.b_eq, bounds=NONNEGATIVE)
+              for c in (reward_vec, -reward_vec))
     return float(lo.fun), float(-hi.fun)
 
 
@@ -397,7 +402,14 @@ def momdp_to_json(m: Momdp) -> str:
 
 
 def momdp_from_json(text: str) -> Momdp:
-    doc = json.loads(text)
+    """Parse the schema above; a missing key raises :class:`ValueError`."""
+    try:
+        return _momdp_from_doc(json.loads(text))
+    except KeyError as exc:
+        raise ValueError(f"MOMDP JSON lacks the key {exc.args[0]!r}") from None
+
+
+def _momdp_from_doc(doc: dict) -> Momdp:
     criterion = doc["criterion"]
     gamma = None
     d_init = None

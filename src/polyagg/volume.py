@@ -154,8 +154,12 @@ def affine_hull(poly: OccupancyPolytope) -> HullChart:
             break
         if tight.size == 0:
             raise DegeneratePolytope("polytope has no interior on its affine hull")
-        a_eq = np.vstack([a_eq, poly.a_ub[tight]])
-        b_eq = np.concatenate([b_eq, poly.b_ub[tight]])
+        m = len(poly.a_ub)   # a tight row past the a_ub rows is the orthant's -x_j <= 0
+        ub, j = tight[tight < m], tight[tight >= m] - m
+        orthant = np.zeros((j.size, poly.dim))
+        orthant[np.arange(j.size), j] = -1.0
+        a_eq = np.vstack([a_eq, poly.a_ub[ub], orthant])
+        b_eq = np.concatenate([b_eq, poly.b_ub[ub], np.zeros(j.size)])
         flatter, origin = _null_space_chart(a_eq, b_eq, poly.dim)
         if flatter.shape[1] >= basis.shape[1]:
             raise DegeneratePolytope("tight rows do not lower the hull dimension")
@@ -177,8 +181,10 @@ def _null_space_chart(a_eq, b_eq, dim):
 
 
 def _intrinsic_inequalities(poly, basis, origin):
-    """Rows g x <= h become (g @ basis) y <= h - g @ origin."""
-    return poly.a_ub @ basis, poly.b_ub - poly.a_ub @ origin
+    """Rows g x <= h become (g @ basis) y <= h - g @ origin: the ``a_ub``
+    rows, then the orthant's rows -x_j <= 0 as -basis[j] y <= origin[j]."""
+    return (np.vstack([poly.a_ub @ basis, -basis]),
+            np.concatenate([poly.b_ub - poly.a_ub @ origin, origin]))
 
 
 def _chebyshev_origin(poly, basis, particular):

@@ -103,7 +103,7 @@ def unit_box(dim):
 
 
 def strip():
-    """The strip 0 <= x <= 1 with y free: a Chebyshev center, no bound on y."""
+    """The strip 0 <= x <= 1 with y >= 0: a Chebyshev center, no upper bound on y."""
     return pa.OccupancyPolytope(
         a_ub=np.array([[1.0, 0.0], [-1.0, 0.0]]),
         b_ub=np.array([1.0, 0.0]),

@@ -87,6 +87,17 @@ class TestAggregate:
         assert err.startswith("error: ValueError: epsilon must lie in (0, 1]")
         assert "Traceback" not in err
 
+    def test_momdp_missing_key_exit_code(self, tmp_path, capsys):
+        doc = json.loads(pa.momdp_to_json(pa.gen_simplex_instance(2)))
+        del doc["criterion"]
+        momdp = tmp_path / "m.json"
+        momdp.write_text(json.dumps(doc))
+        code = run_cli("aggregate", "--momdp", momdp, "--rule", "utilitarian",
+                       "--seed", 1, "--samples", 500, "--out", tmp_path / "w")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: MOMDP JSON lacks the key 'criterion'")
+
     def test_budget_exit_code(self, tmp_path, monkeypatch):
         import polyagg.harness as harness_mod
 
@@ -120,3 +131,13 @@ class TestExperiment:
         assert csv_text.splitlines()[0].startswith("kind,seed,rule")
         doc = json.loads((out_dir / "results.json").read_text())
         assert len(doc["metrics"]) == 4
+
+    def test_spec_missing_key_exit_code(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "source": {"generator": "simplex", "params": {"actions": 2}}, "seed": 1,
+        }))
+        code = run_cli("experiment", "--spec", spec_path, "--out", tmp_path / "r")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: experiment spec lacks the key 'rules'")

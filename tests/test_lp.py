@@ -3,7 +3,7 @@ import pytest
 
 import polyagg as pa
 from polyagg import _solver, lp
-from polyagg.mdp import MASS_TOL, build_polytope
+from polyagg.mdp import MASS_TOL, NONNEGATIVE, build_polytope
 
 from conftest import strip
 
@@ -45,24 +45,11 @@ class TestSolveLp:
 
 
 class TestImpliedBounds:
-    def test_singleton_row_becomes_bound(self, monkeypatch):
-        seen = {}
-        linprog = _solver.linprog
-
-        def spy(*args, **kwargs):
-            seen.update(kwargs)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(_solver, "linprog", spy)
-        res = _solver.lp([-1.0, -1.0], a_ub=[[2.0, 0.0], [1.0, 1.0], [0.0, -1.0]],
-                         b_ub=[3.0, 5.0, 0.0])
-        assert seen["bounds"].tolist() == [[-np.inf, 1.5], [0.0, np.inf]]
-        assert res.status == _solver.OPTIMAL
-        assert res.fun == pytest.approx(-5.0)
+    """x >= 0 is implied by every polytope and reaches the solver as bounds."""
 
     def test_marginals_keep_one_entry_per_row_in_order(self):
         # max x + 2y over x + y <= 1 with x, y >= 0 as singleton rows around
-        # it and one slack row last: only x + y <= 1 has a dual of its own
+        # it and one slack row last: one marginal per row, in row order
         res = _solver.lp([-1.0, -2.0],
                          a_ub=[[-1.0, 0.0], [1.0, 1.0], [0.0, -1.0], [1.0, -2.0]],
                          b_ub=[0.0, 1.0, 0.0, 5.0])
@@ -74,13 +61,19 @@ class TestImpliedBounds:
         assert marginals[3] == pytest.approx(0.0)
 
     def test_strip_charts_and_solves_with_y_free(self):
+        # the strip is 0 <= x <= 1 with y >= 0 from the orthant; the solver
+        # leaves y free unless it is given the orthant's bounds
         poly = strip()
         assert pa.affine_hull(poly).dim == 2
-        res = _solver.lp([1.0, 0.0], a_ub=poly.a_ub, b_ub=poly.b_ub)
+        res = _solver.lp([0.0, 1.0], a_ub=poly.a_ub, b_ub=poly.b_ub, bounds=NONNEGATIVE)
         assert res.status == _solver.OPTIMAL
-        assert res.x[0] == pytest.approx(0.0)
-        with pytest.raises(pa.LpFailure):  # y unbounded below
+        assert res.x[1] == pytest.approx(0.0)
+        with pytest.raises(pa.LpFailure):  # y unbounded above
+            _solver.lp([0.0, -1.0], a_ub=poly.a_ub, b_ub=poly.b_ub, bounds=NONNEGATIVE)
+        with pytest.raises(pa.LpFailure):  # y free: unbounded below
             _solver.lp([0.0, 1.0], a_ub=poly.a_ub, b_ub=poly.b_ub)
+        with pytest.raises(pa.DegeneratePolytope, match="unbounded"):
+            pa.sample_uniform(poly, pa.affine_hull(poly), count=10, seed=0)
 
 
 class TestParetoComplete:

@@ -79,6 +79,19 @@ class TestBuildPolytope:
         assert not poly.contains(np.array([0.2, 0.3, 0.6]))
         assert not poly.contains(np.array([-0.1, 0.6, 0.5]))
 
+    def test_stores_no_inequality_rows(self, fully_connected_22):
+        poly = build_polytope(fully_connected_22)
+        assert poly.a_ub.shape == (0, 4)
+        assert poly.b_ub.shape == (0,)
+
+    def test_max_violation_reports_negative_entry(self, simplex3):
+        # meets every row (unit mass, flow) but leaves the orthant by 1e-3
+        poly = build_polytope(simplex3)
+        x = np.array([-1e-3, 0.5, 0.501])
+        assert np.max(np.abs(poly.a_eq @ x - poly.b_eq)) < 1e-12
+        assert poly.max_violation(x) == pytest.approx(1e-3)
+        assert not poly.contains(x)
+
     def test_two_cycle_pins_unique_point(self, two_cycle):
         poly = build_polytope(two_cycle)
         assert poly.contains(np.array([0.5, 0.5]))
