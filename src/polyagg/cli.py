@@ -6,8 +6,9 @@ Subcommands:
   polyagg experiment --spec FILE.json             run a full comparison
 
 Exit codes: 0 on success, 2 for infeasible or degenerate input, a parameter
-out of range or a JSON file missing a required key (a ``ValueError``, such
-as ``--epsilon 0``), 3 when a solver budget was exhausted.
+out of range or a JSON file missing a required key or holding a value of
+the wrong shape (a ``ValueError``, such as ``--epsilon 0``), 3 when a solver
+budget was exhausted.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from .mdp import (
     Momdp,
     OccupancyPolytope,
     build_polytope,
+    _json_field,
     load_momdp,
     normalize_rewards,
 )
@@ -163,30 +164,28 @@ class ExperimentSpec:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentSpec":
-        """Parse spec JSON; a missing key raises :class:`ValueError`."""
+        """Parse spec JSON; a missing key or a value of the wrong shape
+        raises :class:`ValueError` naming the key."""
         doc = json.loads(text)
-        try:
-            # a field without a default is looked up even when absent
-            kwargs = {f.name: _JSON_CASTS.get(f.type, _same)(doc[key])
-                      for f, key in _spec_fields() if key in doc or f.default is MISSING}
-            kwargs["rules"] = tuple(
-                RuleSpec(name=entry["name"],
-                         params={k: v for k, v in entry.items() if k != "name"})
-                for entry in doc["rules"]
-            )
-        except KeyError as exc:
-            raise ValueError(f"experiment spec lacks the key {exc.args[0]!r}") from None
+        # a field without a default is looked up even when absent
+        kwargs = {f.name: _json_field(doc, key, "experiment spec", _JSON_CASTS.get(f.type))
+                  for f, key in _spec_fields() if f.default is MISSING or key in doc}
+        kwargs["rules"] = _json_field(doc, "rules", "experiment spec", _rule_specs)
         return ExperimentSpec(**kwargs)
+
+
+def _rule_specs(entries) -> tuple[RuleSpec, ...]:
+    if not isinstance(entries, list):
+        raise TypeError("rules must be a list")
+    return tuple(RuleSpec(name=_json_field(entry, "name", "rule entry"),
+                          params={k: v for k, v in entry.items() if k != "name"})
+                 for entry in entries)
 
 
 # spec JSON keys that differ from their ExperimentSpec field names, and the
 # casts from_json applies by field type
 _RENAMED_KEYS = {"num_instances": "instances", "cdf_kind": "cdf"}
 _JSON_CASTS = {"int": int, "bool": bool}
-
-
-def _same(value):
-    return value
 
 
 def _spec_fields():

@@ -401,35 +401,55 @@ def momdp_to_json(m: Momdp) -> str:
     return json.dumps(doc, indent=2)
 
 
-def momdp_from_json(text: str) -> Momdp:
-    """Parse the schema above; a missing key raises :class:`ValueError`."""
+def _json_field(doc, key: str, what: str, convert=None):
+    """``doc[key]``, passed through ``convert`` if given.
+
+    Raises :class:`ValueError` naming ``key`` when ``doc`` is not a JSON
+    object, lacks ``key``, or holds a value ``convert`` cannot take.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be an object with the key {key!r}, "
+                         f"not {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"{what} lacks the key {key!r}")
     try:
-        return _momdp_from_doc(json.loads(text))
-    except KeyError as exc:
-        raise ValueError(f"MOMDP JSON lacks the key {exc.args[0]!r}") from None
+        return doc[key] if convert is None else convert(doc[key])
+    except TypeError:
+        raise ValueError(f"{what} key {key!r} has the wrong shape "
+                         f"({type(doc[key]).__name__})") from None
 
 
-def _momdp_from_doc(doc: dict) -> Momdp:
-    criterion = doc["criterion"]
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def momdp_from_json(text: str) -> Momdp:
+    """Parse the schema above; a missing key or a value of the wrong shape
+    raises :class:`ValueError` naming the key."""
+    doc = json.loads(text)
+    what = "MOMDP JSON"
+    criterion = _json_field(doc, "criterion", what)
     gamma = None
     d_init = None
     if criterion == "average":
         kind = AVERAGE
     elif isinstance(criterion, dict) and "discounted" in criterion:
         kind = DISCOUNTED
-        gamma = float(criterion["discounted"]["gamma"])
-        d_init = np.asarray(criterion["discounted"]["d_init"], dtype=float)
+        discounted = criterion["discounted"]
+        gamma = _json_field(discounted, "gamma", "criterion 'discounted'", float)
+        d_init = _json_field(discounted, "d_init", "criterion 'discounted'", _floats)
     else:
         raise ValueError(f"unknown criterion {criterion!r}")
     m = Momdp(
-        transition=np.asarray(doc["transitions"], dtype=float),
-        rewards=np.asarray(doc["rewards"], dtype=float),
+        transition=_json_field(doc, "transitions", what, _floats),
+        rewards=_json_field(doc, "rewards", what, _floats),
         criterion=kind,
         gamma=gamma,
         d_init=d_init,
-        agent_names=tuple(doc["agent_names"]) if "agent_names" in doc else None,
+        agent_names=_json_field(doc, "agent_names", what, tuple) if "agent_names" in doc else None,
     )
-    if m.num_states != doc["states"] or m.num_actions != doc["actions"]:
+    if (m.num_states != _json_field(doc, "states", what)
+            or m.num_actions != _json_field(doc, "actions", what)):
         raise ValueError("declared states/actions disagree with the tables")
     return m
 

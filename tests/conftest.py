@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy._core import HighsModelStatus
 
 import polyagg as pa
 from polyagg import _solver
@@ -79,17 +79,19 @@ def node_limit_reached(monkeypatch):
     """Make every MILP stop the way HiGHS does at its node limit.
 
     No program in the suite needs more than one branch-and-cut node, so the
-    limit cannot be reached for real; scipy reports it as status 4 with
-    HiGHS's "Solution limit reached", not as status 1.
+    limit cannot be reached for real; HiGHS reports it as the model status
+    ``kSolutionLimit``.  LPs solve as usual.
     """
-    def fake_milp(c, **kwargs):
-        return OptimizeResult(
-            status=4, x=None, mip_node_count=1,
-            message="The HiGHS status code was not recognized. "
-                    "(HiGHS Status 16: Solution limit reached)",
-        )
+    class NodeLimitHighs(_solver._Highs):
+        def passModel(self, model):
+            self.is_mip = bool(model.integrality_)
+            return super().passModel(model)
 
-    monkeypatch.setattr(_solver, "_highs_milp", fake_milp)
+        def getModelStatus(self):
+            status = super().getModelStatus()
+            return HighsModelStatus.kSolutionLimit if self.is_mip else status
+
+    monkeypatch.setattr(_solver, "_Highs", NodeLimitHighs)
 
 
 def unit_box(dim):

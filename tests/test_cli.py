@@ -98,6 +98,16 @@ class TestAggregate:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: MOMDP JSON lacks the key 'criterion'")
 
+    def test_momdp_wrong_shape_exit_code(self, tmp_path, capsys):
+        momdp = tmp_path / "m.json"
+        momdp.write_text("[1, 2]")
+        code = run_cli("aggregate", "--momdp", momdp, "--rule", "utilitarian",
+                       "--seed", 1, "--samples", 500, "--out", tmp_path / "w")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: MOMDP JSON must be an object "
+                              "with the key 'criterion', not list")
+
     def test_budget_exit_code(self, tmp_path, monkeypatch):
         import polyagg.harness as harness_mod
 
@@ -141,3 +151,15 @@ class TestExperiment:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: experiment spec lacks the key 'rules'")
+
+    def test_spec_wrong_shape_exit_code(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "source": {"generator": "simplex", "params": {"actions": 2}}, "seed": 1,
+            "rules": "utilitarian",
+        }))
+        code = run_cli("experiment", "--spec", spec_path, "--out", tmp_path / "r")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: experiment spec key 'rules' "
+                              "has the wrong shape (str)")

@@ -1,8 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 import polyagg as pa
-from polyagg import _solver, lp
+from polyagg import _solver, lp, rules, volume
 from polyagg.mdp import MASS_TOL, NONNEGATIVE, build_polytope
 
 from conftest import strip
@@ -74,6 +77,111 @@ class TestImpliedBounds:
             _solver.lp([0.0, 1.0], a_ub=poly.a_ub, b_ub=poly.b_ub)
         with pytest.raises(pa.DegeneratePolytope, match="unbounded"):
             pa.sample_uniform(poly, pa.affine_hull(poly), count=10, seed=0)
+
+
+def recorded_lps(monkeypatch, run):
+    """The ``(args, kwargs)`` of every ``_solver.lp`` call ``run()`` makes,
+    copied before the caller can modify them."""
+    calls = []
+    solve = _solver.lp
+
+    def spy(*args, **kwargs):
+        calls.append(copy.deepcopy((args, kwargs)))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(_solver, "lp", spy)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def linprog_reference(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(None, None)):
+    """The same LP through scipy's linprog with the options ``_solver.lp`` uses."""
+    def rows(a):
+        return None if a is None or not np.size(a) else np.asarray(a, dtype=float)
+
+    return linprog(np.asarray(c, dtype=float), A_ub=rows(a_ub), b_ub=rows(b_ub),
+                   A_eq=rows(a_eq), b_eq=rows(b_eq), bounds=bounds, method="highs",
+                   options={"presolve": False})
+
+
+def assert_matches_linprog(args, kwargs):
+    res = _solver.lp(*args, **kwargs)
+    ref = linprog_reference(*args, **kwargs)
+    assert res.status == ref.status
+    if ref.status == _solver.OPTIMAL:
+        assert np.array_equal(res.x, ref.x)
+        assert res.fun == ref.fun
+        assert np.array_equal(res.ineqlin.marginals, ref.ineqlin.marginals)
+    else:
+        assert res.x is None and ref.x is None
+
+
+class TestLinprogReference:
+    """``_solver`` drives HiGHS itself and agrees bit for bit with scipy's
+    ``linprog`` and ``milp`` under the same options."""
+
+    def test_warehouse_return_bounds(self, monkeypatch):
+        m = pa.gen_warehouse(pa.WarehouseParams(warehouses=3, agents=4, seed=2000))
+        poly = build_polytope(m)
+        calls = recorded_lps(monkeypatch, lambda: pa.normalize_rewards(m, poly))
+        assert len(calls) == 2 * m.num_agents
+        for args, kwargs in calls:
+            assert_matches_linprog(args, kwargs)
+
+    def test_chebyshev_lp_of_transient_model(self, transient_53, monkeypatch):
+        poly = build_polytope(transient_53)
+        calls = recorded_lps(monkeypatch, lambda: volume.affine_hull(poly))
+        assert calls
+        for args, kwargs in calls:
+            res = _solver.lp(*args, **kwargs)
+            assert np.any(-res.ineqlin.marginals > lp.FEAS_TOL)  # tight rows found
+            assert_matches_linprog(args, kwargs)
+
+    def test_leximin_floor_lp(self, monkeypatch):
+        m = pa.random_momdp(4, 3, 4, seed=500)
+        poly = build_polytope(m)
+        model, _ = pa.normalize_rewards(m, poly)
+        calls = recorded_lps(monkeypatch, lambda: lp.leximin(poly, model.reward_vectors()))
+        args, kwargs = calls[0]  # the first round's floor LP
+        assert kwargs["a_ub"].shape[0] == model.num_agents
+        assert_matches_linprog(args, kwargs)
+
+    def test_infeasible_system(self, simplex3):
+        poly = build_polytope(simplex3)
+        r = simplex3.reward_vectors()
+        args = (np.zeros(poly.dim),)
+        kwargs = dict(a_ub=-r, b_ub=np.full(3, -0.5), a_eq=poly.a_eq, b_eq=poly.b_eq,
+                      bounds=NONNEGATIVE)
+        assert _solver.lp(*args, **kwargs).status == _solver.INFEASIBLE
+        assert_matches_linprog(args, kwargs)
+
+    def test_unbounded_system_raises(self):
+        # min -y over 0 <= x <= 1, y >= 0
+        args = ([0.0, -1.0],)
+        kwargs = dict(a_ub=strip().a_ub, b_ub=strip().b_ub, bounds=NONNEGATIVE)
+        assert linprog_reference(*args, **kwargs).status == 3  # unbounded
+        with pytest.raises(pa.LpFailure, match="Unbounded"):
+            _solver.lp(*args, **kwargs)
+
+    def test_milp_matches_scipy_milp(self):
+        m = pa.random_momdp(4, 3, 4, seed=500)
+        poly = build_polytope(m)
+        model, _ = pa.normalize_rewards(m, poly)
+        program, _ = rules.approval_program(model, poly, None, alpha=1.0)
+        c, a_ub, b_ub, a_eq, b_eq, bounds = lp._relaxation_system(program)
+        integrality = np.concatenate([np.zeros(poly.dim), np.ones(program.weights.size)])
+        res = _solver.milp(c, a_ub, b_ub, a_eq, b_eq, bounds[:, 0], bounds[:, 1],
+                           integrality, lp.NODE_LIMIT)
+        ref = milp(c, integrality=integrality, bounds=Bounds(bounds[:, 0], bounds[:, 1]),
+                   constraints=[LinearConstraint(a_ub, -np.inf, b_ub),
+                                LinearConstraint(a_eq, b_eq, b_eq)],
+                   options={"presolve": True, "mip_rel_gap": 0.0, "node_limit": lp.NODE_LIMIT})
+        assert res.status == ref.status == _solver.OPTIMAL
+        assert np.array_equal(res.x, ref.x)
+        assert res.fun == ref.fun
+        assert res.mip_node_count == ref.mip_node_count
+        assert res.mip_gap == ref.mip_gap == 0.0
 
 
 class TestParetoComplete:

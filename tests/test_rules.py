@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import polyagg as pa
-from polyagg import harness
+from polyagg import _solver, harness
 from polyagg.mdp import build_polytope
 
 from conftest import without_isolated_vertices
@@ -284,6 +284,24 @@ class TestBordaMilp:
                             list(random_pipe.cdfs))
         for row in res.certificate.level_indicators:
             assert all(a >= b for a, b in zip(row, row[1:]))
+
+    def test_milps_optimal_and_silent(self, capfd, monkeypatch):
+        # HiGHS once printed a line from inside its MIP solver on these
+        # programs, past any Python-level output handling
+        results = []
+        solve = _solver.milp
+
+        def spy(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(_solver, "milp", spy)
+        for m in (pa.gen_simplex_instance(4), pa.random_momdp(4, 3, 4, seed=500)):
+            pipe = harness.prepare(m, SAMPLES, seed=7)
+            for eps in (0.05, 0.1):
+                pa.borda_milp(pipe.model, pipe.poly, list(pipe.cdfs), epsilon=eps)
+        assert [(r.status, r.mip_gap) for r in results] == [(_solver.OPTIMAL, 0.0)] * 4
+        assert capfd.readouterr() == ("", "")
 
     def test_beats_max_quantile_score(self, random_pipe):
         cdfs = list(random_pipe.cdfs)
