@@ -98,15 +98,16 @@ class FractionEstimate:
 class ReturnCdf:
     """Estimated cdf of one agent's return over the polytope.
 
-    ``samples`` holds the sorted sample returns regardless of kind; the
-    logistic kind additionally evaluates through fitted parameters
+    ``samples`` holds the sorted sample returns regardless of kind, sorted
+    here from a copy; ``support`` defaults to their range.  The logistic
+    kind additionally evaluates through fitted parameters
     ``(growth, midpoint, asymmetry)`` of ``(1 + exp(-B (v - M)))**(-nu)``.
     """
 
     agent: int | str
     kind: str
     samples: np.ndarray
-    support: tuple[float, float]
+    support: tuple[float, float] | None = None
     params: tuple[float, float, float] | None = None
 
     def __post_init__(self):
@@ -114,6 +115,8 @@ class ReturnCdf:
         s.sort()
         s.flags.writeable = False
         object.__setattr__(self, "samples", s)
+        if self.support is None:
+            object.__setattr__(self, "support", (float(s[0]), float(s[-1])))
 
     def evaluate(self, v):
         """F(v), vectorized; exactly 0/1 at or beyond the support edges."""
@@ -235,7 +238,16 @@ def sample_uniform(
     starting at step 0.  After ``burn_in`` steps (default 1000 * dim, i.e.
     1,000 sweeps) every ``thinning``-th state (default dim, one sweep per
     record) is recorded per chain; the cloud concatenates the chains'
-    records in chain-major order and truncates to ``count``.
+    records in chain-major order and truncates to ``count``.  Records are
+    written straight into a ``(chains, per_chain, dim)`` array, so the
+    concatenation is a reshape, and one matrix product maps them to ambient
+    coordinates.
+
+    A step gathers the axis's rows of the ``(rows, chains)`` slack matrix,
+    reduces them to each chain's chord, and updates the slack by one BLAS
+    rank-1 update.  At low dimension a step touches only a few rows, so its
+    cost is the dispatch of its dozen numpy and BLAS calls rather than their
+    arithmetic; the loop makes no call it can avoid.
 
     A zero-dimensional chart cannot be walked: the unique feasible point is
     repeated ``count`` times and the cloud is flagged degenerate.
@@ -261,7 +273,6 @@ def sample_uniform(
     gy, hy = gy[keep], hy[keep]
     if np.any(hy < 0):
         raise DegeneratePolytope("chart origin is not interior to the polytope")
-    axes = [_axis_rows(gy[:, k]) for k in range(dim)]
 
     rng = np.random.default_rng(seed)
     per_chain = -(-count // chains)
@@ -269,40 +280,53 @@ def sample_uniform(
     block = -(-SWEEP_BLOCK_STEPS // dim) * dim   # whole sweeps per draw
     y = np.zeros((dim, chains))
     slack = np.tile(hy[:, None], (1, chains))    # (rows, chains), C order
-    records = np.empty((per_chain, chains, dim))
-    rec = 0
+    slack_f = slack.T                            # the Fortran view dger writes through
+    records = np.empty((chains, per_chain, dim))
     ratio = np.empty((gy.shape[0], chains))
     t, t_hi, t_lo = np.empty(chains), np.empty(chains), np.empty(chains)
+    empty = np.empty(chains, dtype=bool)
+    # per axis: its rows and their inverse entries, the gathered ratios and
+    # their upper- and lower-bound halves as views, its row of y, its column
+    axes = []
+    for k in range(dim):
+        rows, inv, n_pos, col = _axis_rows(gy[:, k])
+        r = ratio[: rows.size]
+        axes.append((rows, inv, r, r[:n_pos], r[n_pos:], y[k], col))
+    # ndarray.take skips np.take's Python wrapper; rows are valid indices by
+    # construction, and "clip" writes straight into ``out``
+    take = slack.take
+    multiply, add, subtract, signbit = np.multiply, np.add, np.subtract, np.signbit
+    lowest, highest = np.minimum.reduce, np.maximum.reduce
+    rec, next_record = 0, burn_in + thinning - 1
     for step in range(total_steps):
         j = step % block
         if j == 0:
             sweeps = np.tile(np.arange(dim), (block // dim, 1))
-            order = rng.permuted(sweeps, axis=1).ravel()
-            uniforms = rng.random((block, chains))
-        k = order[j]
-        rows, inv, n_pos, col = axes[k]
-        # rows are valid indices by construction; "clip" writes straight
-        # into ``out`` where the default "raise" gathers into a buffer first
-        r = np.take(slack, rows, axis=0, out=ratio[: rows.size], mode="clip")
-        r *= inv
-        np.minimum.reduce(r[:n_pos], axis=0, out=t_hi)
-        np.maximum.reduce(r[n_pos:], axis=0, out=t_lo)
-        np.subtract(t_hi, t_lo, out=t)
-        t *= uniforms[j]
-        t += t_lo
-        t[t_hi < t_lo] = 0.0   # drift left an empty chord: stay put
-        y[k] += t
-        # slack -= col t^T as one in-place BLAS rank-1 update: slack.T is
-        # the Fortran-ordered (chains, rows) view dger writes through
-        dger(-1.0, t, col, a=slack.T, overwrite_a=1)
-        if (step + 1) % 512 == 0:
+            order = rng.permuted(sweeps, axis=1).ravel().tolist()
+            uniforms = list(rng.random((block, chains)))
+        rows, inv, r, r_hi, r_lo, y_k, col = axes[order[j]]
+        take(rows, axis=0, out=r, mode="clip")
+        multiply(r, inv, r)
+        lowest(r_hi, axis=0, out=t_hi)
+        highest(r_lo, axis=0, out=t_lo)
+        subtract(t_hi, t_lo, t)
+        signbit(t, empty)   # t_hi < t_lo, read off the chord width's sign
+        multiply(t, uniforms[j], t)
+        add(t, t_lo, t)
+        t[empty] = 0.0      # drift left an empty chord: stay put
+        add(y_k, t, y_k)
+        # slack -= col t^T as one in-place BLAS rank-1 update
+        dger(-1.0, t, col, a=slack_f, overwrite_a=1)
+        if step % 512 == 511:
             np.matmul(gy, y, out=slack)   # resync against drift
             np.subtract(hy[:, None], slack, out=slack)
-        if step >= burn_in and (step - burn_in + 1) % thinning == 0:
-            records[rec] = y.T
+        if step == next_record:
+            records[:, rec] = y.T
             rec += 1
-    flat = records.transpose(1, 0, 2).reshape(chains * per_chain, dim)[:count]
-    ambient = chart.to_ambient(flat)
+            next_record += thinning
+    # chain-major records: the reshape is a view
+    ambient = records.reshape(chains * per_chain, dim)[:count] @ chart.basis.T
+    ambient += chart.origin
     return SampleCloud(points=ambient, seed=seed, walk_params=params, chart=chart,
                        table_shape=poly.table_shape)
 
@@ -350,19 +374,19 @@ def estimate_cdf(cloud: SampleCloud, reward_table, kind: str = EMPIRICAL,
     back to the empirical kind when the fit strays more than 0.05 anywhere
     on the sample-quantile grid.
     """
-    values = np.sort(cloud.returns(reward_table))
-    support = (float(values[0]), float(values[-1]))
-    if kind == EMPIRICAL:
-        return ReturnCdf(agent=agent, kind=EMPIRICAL, samples=values, support=support)
-    if kind != LOGISTIC:
+    if kind not in (EMPIRICAL, LOGISTIC):
         raise ValueError(f"unknown cdf kind {kind!r}")
+    empirical = ReturnCdf(agent=agent, kind=EMPIRICAL, samples=cloud.returns(reward_table))
+    if kind == EMPIRICAL:
+        return empirical
+    values = empirical.samples
     params = _fit_generalized_logistic(values)
     if params is not None:
         fitted = ReturnCdf(agent=agent, kind=LOGISTIC, samples=values,
-                           support=support, params=params)
+                           support=empirical.support, params=params)
         if _logistic_fit_acceptable(fitted, values):
             return fitted
-    return ReturnCdf(agent=agent, kind=EMPIRICAL, samples=values, support=support)
+    return empirical
 
 
 def _fit_generalized_logistic(sorted_values):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import polyagg as pa
-from polyagg import _solver, harness
+from polyagg import _solver, harness, lp, rules
 from polyagg.mdp import build_polytope
 
 from conftest import without_isolated_vertices
@@ -220,6 +220,26 @@ class TestAlphaApproval:
                                 list(random_pipe.cdfs), alpha=0.9)
         for i in res.certificate.approving_agents:
             assert res.returns[i] >= res.certificate.thresholds[i] - 1e-7
+
+    def test_warehouse_milp_exact_despite_highs_print(self, monkeypatch):
+        # On this program (the warehouse benchmark's seed 11, batch 0, slot 4)
+        # HiGHS prints "HighsMipSolverData::transformNewIntegerFeasibleSolution
+        # tmpSolver.run();" from inside its MIP solver; the solve stays exact
+        results = []
+        solve = _solver.milp
+
+        def spy(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(_solver, "milp", spy)
+        model = pa.gen_warehouse(pa.WarehouseParams(3, 4, seed=2004))
+        pipe = harness.prepare(model, 12_800, 2867950245, burn_in=2_000, thinning=16)
+        cdfs = list(pipe.cdfs)
+        res = pa.alpha_approval(pipe.model, pipe.poly, cdfs, alpha=0.9)
+        assert [(r.status, r.mip_gap) for r in results] == [(_solver.OPTIMAL, 0.0)]
+        program, _ = rules.approval_program(pipe.model, pipe.poly, cdfs, alpha=0.9)
+        assert res.certificate.score == lp.enumerate_milp(program).objective_value
 
     def test_budget_error_surfaces(self, simplex3_pipe, node_limit_reached):
         with pytest.raises(pa.MilpBudgetExhausted):

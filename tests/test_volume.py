@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dger
 
 import polyagg as pa
 from polyagg import _solver, harness, volume
@@ -164,6 +165,87 @@ class TestSampleUniform:
         assert np.allclose(cloud.points, [0.5, 0.5])
 
 
+def reference_walk(poly, chart, count, seed, burn_in, thinning,
+                   chains=volume.DEFAULT_CHAINS):
+    """The coordinate walk as a plain step loop: what sample_uniform computes.
+
+    Same chart rows, PCG64 stream, sweeps, walk lengths and resync period;
+    each step gathers the axis's rows, reduces them to the chord, draws the
+    point and moves along it with the same floating-point operations in the
+    same order.
+    """
+    dim = chart.dim
+    gy, hy = volume._intrinsic_inequalities(poly, chart.basis, chart.origin)
+    keep = np.linalg.norm(gy, axis=1) > 1e-12
+    gy, hy = gy[keep], hy[keep]
+    axes = [volume._axis_rows(gy[:, k]) for k in range(dim)]
+    rng = np.random.default_rng(seed)
+    per_chain = -(-count // chains)
+    block = -(-volume.SWEEP_BLOCK_STEPS // dim) * dim
+    y = np.zeros((dim, chains))
+    slack = np.tile(hy[:, None], (1, chains))
+    records = np.empty((per_chain, chains, dim))
+    rec = 0
+    for step in range(burn_in + per_chain * thinning):
+        j = step % block
+        if j == 0:
+            sweeps = np.tile(np.arange(dim), (block // dim, 1))
+            order = rng.permuted(sweeps, axis=1).ravel()
+            uniforms = rng.random((block, chains))
+        k = order[j]
+        rows, inv, n_pos, col = axes[k]
+        r = np.take(slack, rows, axis=0) * inv
+        t_hi = np.min(r[:n_pos], axis=0)
+        t_lo = np.max(r[n_pos:], axis=0)
+        t = (t_hi - t_lo) * uniforms[j] + t_lo
+        t[t_hi < t_lo] = 0.0
+        y[k] += t
+        dger(-1.0, t, col, a=slack.T, overwrite_a=1)
+        if (step + 1) % 512 == 0:
+            slack = hy[:, None] - gy @ y
+        if step >= burn_in and (step - burn_in + 1) % thinning == 0:
+            records[rec] = y.T
+            rec += 1
+    flat = records.transpose(1, 0, 2).reshape(chains * per_chain, dim)[:count]
+    return flat @ chart.basis.T + chart.origin
+
+
+class TestReferenceWalk:
+    """sample_uniform equals the plain step loop bit for bit.
+
+    Every walk crosses a SWEEP_BLOCK_STEPS block boundary (a fresh draw of
+    sweeps and uniforms) and at least one resync; counts that are not a
+    multiple of the chains truncate the last chain's records.
+    """
+
+    @pytest.mark.parametrize("name, count, burn_in, thinning", [
+        ("warehouse", 9_000, 2_000, 16),   # 4,256 steps; records mid-sweep
+        ("simplex", 30_000, None, None),   # dim 3: 4,407 steps
+        ("transient", 2_000, None, None),  # dim 8: 8,256 steps
+        ("box", 30_000, None, None),       # dim 3: 4,407 steps
+        ("max2sat", 2_000, None, None),    # dim 6: 6,192 steps
+    ])
+    def test_matches_reference_walk(self, name, count, burn_in, thinning, transient_53):
+        poly = {
+            "warehouse": lambda: build_polytope(
+                pa.gen_warehouse(pa.WarehouseParams(3, 4, seed=2000))),
+            "simplex": lambda: build_polytope(pa.gen_simplex_instance(4)),
+            "transient": lambda: build_polytope(transient_53),
+            "box": lambda: unit_box(3),
+            "max2sat": lambda: build_polytope(
+                pa.gen_from_max2sat(pa.random_2cnf(6, 5, seed=0))),
+        }[name]()
+        chart = pa.affine_hull(poly)
+        cloud = pa.sample_uniform(poly, chart, count, seed=11,
+                                  burn_in=burn_in, thinning=thinning)
+        params = cloud.walk_params
+        steps = params.burn_in + -(-count // params.chains) * params.thinning
+        block = -(-volume.SWEEP_BLOCK_STEPS // chart.dim) * chart.dim
+        assert steps > max(block, 512)
+        expected = reference_walk(poly, chart, count, 11, params.burn_in, params.thinning)
+        assert np.array_equal(cloud.points, expected)
+
+
 class TestVolFraction:
     def test_full_and_empty(self, simplex2):
         poly = build_polytope(simplex2)
@@ -205,6 +287,15 @@ class TestEstimateCdf:
         lo, hi = cdf.support
         assert cdf.evaluate(lo) == 0.0
         assert cdf.evaluate(hi) == 1.0
+
+    @pytest.mark.parametrize("kind", ["empirical", "logistic"])
+    def test_samples_sorted_and_support_their_range(self, simplex3, kind):
+        poly = build_polytope(simplex3)
+        cloud = pa.sample_uniform(poly, pa.affine_hull(poly), 5000, seed=10)
+        cdf = pa.estimate_cdf(cloud, simplex3.rewards[0], kind=kind)
+        expected = np.sort(cloud.returns(simplex3.rewards[0]))
+        assert np.array_equal(cdf.samples, expected)
+        assert cdf.support == (expected[0], expected[-1])
 
     def test_logistic_fit_smooth_target(self, simplex3):
         poly = build_polytope(simplex3)
