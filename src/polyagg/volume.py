@@ -63,6 +63,11 @@ class SampleCloud:
     Reproducible bit-for-bit from (seed, walk_params).  ``degenerate`` marks
     clouds over zero-dimensional polytopes, where every row is the unique
     feasible point.
+
+    ``points`` is read-only.  An array that is already read-only, C-ordered
+    float64 and owns its data, as :func:`sample_uniform` and
+    :func:`load_cloud` build it, is kept as it is; anything else is copied,
+    so later writes to a caller's array leave the cloud unchanged.
     """
 
     points: np.ndarray
@@ -73,8 +78,9 @@ class SampleCloud:
     table_shape: tuple[int, int] | None = None
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float, order="C", copy=True)
-        pts.flags.writeable = False
+        pts = self.points
+        if not _sealed(pts):
+            pts = _seal(np.array(pts, dtype=float, order="C", copy=True))
         object.__setattr__(self, "points", pts)
 
     @property
@@ -98,10 +104,14 @@ class FractionEstimate:
 class ReturnCdf:
     """Estimated cdf of one agent's return over the polytope.
 
-    ``samples`` holds the sorted sample returns regardless of kind, sorted
-    here from a copy; ``support`` defaults to their range.  The logistic
-    kind additionally evaluates through fitted parameters
-    ``(growth, midpoint, asymmetry)`` of ``(1 + exp(-B (v - M)))**(-nu)``.
+    ``samples`` holds the sorted sample returns regardless of kind, read-only;
+    ``support`` defaults to their range.  The logistic kind additionally
+    evaluates through fitted parameters ``(growth, midpoint, asymmetry)`` of
+    ``(1 + exp(-B (v - M)))**(-nu)``.
+
+    A 1-D array that is already sorted, read-only, float64 and owns its data,
+    as :func:`estimate_cdf` builds it, is kept as it is; anything else is
+    copied and the copy sorted, so a caller's array is never reordered.
     """
 
     agent: int | str
@@ -111,9 +121,11 @@ class ReturnCdf:
     params: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        s = np.array(self.samples, dtype=float, copy=True)
-        s.sort()
-        s.flags.writeable = False
+        s = self.samples
+        if not (_sealed(s) and s.ndim == 1 and bool(np.all(s[:-1] <= s[1:]))):
+            s = np.array(s, dtype=float, copy=True)
+            s.sort()
+            _seal(s)
         object.__setattr__(self, "samples", s)
         if self.support is None:
             object.__setattr__(self, "support", (float(s[0]), float(s[-1])))
@@ -136,6 +148,19 @@ class ReturnCdf:
             out = np.where(v <= lo, 0.0, out)
             out = np.where(v >= hi, 1.0, out)
         return out if out.ndim else float(out)
+
+
+def _sealed(a) -> bool:
+    """Whether a constructor may keep ``a`` without a copy: a read-only,
+    C-ordered float64 ndarray that owns its data."""
+    return (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata
+            and a.flags.c_contiguous and not a.flags.writeable)
+
+
+def _seal(a: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only, so a constructor keeps it as is."""
+    a.flags.writeable = False
+    return a
 
 
 def affine_hull(poly: OccupancyPolytope) -> HullChart:
@@ -241,7 +266,9 @@ def sample_uniform(
     records in chain-major order and truncates to ``count``.  Records are
     written straight into a ``(chains, per_chain, dim)`` array, so the
     concatenation is a reshape, and one matrix product maps them to ambient
-    coordinates.
+    coordinates.  The cloud takes that product as its ``points``, read-only
+    and not copied: no other array holds it, so a walk's peak is the records
+    plus one ambient cloud.
 
     A step gathers the axis's rows of the ``(rows, chains)`` slack matrix,
     reduces them to each chain's chord, and updates the slack by one BLAS
@@ -258,7 +285,7 @@ def sample_uniform(
     if dim == 0:
         params = WalkParams(burn_in=0, thinning=1, count=count, chains=1)
         warnings.warn("sampling a zero-dimensional polytope: repeating its point")
-        pts = np.tile(chart.origin, (count, 1))
+        pts = _seal(np.repeat(chart.origin[None, :], count, axis=0))
         return SampleCloud(points=pts, seed=seed, walk_params=params,
                            chart=chart, degenerate=True,
                            table_shape=poly.table_shape)
@@ -327,7 +354,7 @@ def sample_uniform(
     # chain-major records: the reshape is a view
     ambient = records.reshape(chains * per_chain, dim)[:count] @ chart.basis.T
     ambient += chart.origin
-    return SampleCloud(points=ambient, seed=seed, walk_params=params, chart=chart,
+    return SampleCloud(points=_seal(ambient), seed=seed, walk_params=params, chart=chart,
                        table_shape=poly.table_shape)
 
 
@@ -376,7 +403,9 @@ def estimate_cdf(cloud: SampleCloud, reward_table, kind: str = EMPIRICAL,
     """
     if kind not in (EMPIRICAL, LOGISTIC):
         raise ValueError(f"unknown cdf kind {kind!r}")
-    empirical = ReturnCdf(agent=agent, kind=EMPIRICAL, samples=cloud.returns(reward_table))
+    returns = cloud.returns(reward_table)   # a fresh vector: sort it in place
+    returns.sort()
+    empirical = ReturnCdf(agent=agent, kind=EMPIRICAL, samples=_seal(returns))
     if kind == EMPIRICAL:
         return empirical
     values = empirical.samples
@@ -439,7 +468,9 @@ def quantile_inverse(cdf: ReturnCdf, q: float) -> float:
     """Smallest v in the support with F(v) >= q, by bisection.
 
     The search stops at width 1e-4 of the support, so it costs
-    O(log(1/delta)) cdf evaluations.
+    O(log(1/delta)) cdf evaluations.  The empirical kind evaluates each
+    midpoint on scalars, with the same clamps and midpoint rank as
+    :meth:`ReturnCdf.evaluate`.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
@@ -448,10 +479,22 @@ def quantile_inverse(cdf: ReturnCdf, q: float) -> float:
         return lo
     if lo == hi:
         return lo
+    if cdf.kind == LOGISTIC:
+        cdf_at = cdf.evaluate
+    else:
+        search, n2 = cdf.samples.searchsorted, 2.0 * cdf.samples.shape[0]
+        s_lo, s_hi = cdf.support   # fixed while the bisection moves lo and hi
+
+        def cdf_at(v):
+            if v >= s_hi:
+                return 1.0
+            if v <= s_lo:
+                return 0.0
+            return (search(v, "left") + search(v, "right")) / n2
     delta = QUANTILE_REL_TOL * (hi - lo)
     while hi - lo > delta:
         mid = 0.5 * (lo + hi)
-        if cdf.evaluate(mid) >= q:
+        if cdf_at(mid) >= q:
             hi = mid
         else:
             lo = mid
@@ -517,7 +560,7 @@ def load_cloud(path) -> SampleCloud:
     if not first.startswith("# polyagg-cloud"):
         raise ValueError("not a polyagg cloud file")
     fields = dict(tok.split("=") for tok in first.split()[2:])
-    pts = np.loadtxt(path, delimiter=",", ndmin=2)
+    pts = _seal(np.loadtxt(path, delimiter=",", ndmin=2))
     params = WalkParams(
         burn_in=int(fields["burn_in"]),
         thinning=int(fields["thinning"]),

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -150,6 +151,20 @@ class TestSampleUniform:
         assert np.ptp(pipe.cloud.points, axis=0).max() > 0.01
         assert max(pipe.poly.max_violation(x) for x in pipe.cloud.points) <= 1e-9
 
+    def test_walk_peak_memory(self):
+        # the walk holds its records and one ambient cloud; a copy of the
+        # cloud on the way out would read ~3x
+        poly = build_polytope(pa.gen_warehouse(pa.WarehouseParams(3, 4, seed=2000)))
+        chart = pa.affine_hull(poly)
+        tracemalloc.start()
+        try:
+            cloud = pa.sample_uniform(poly, chart, 12_800, seed=2000,
+                                      burn_in=2_000, thinning=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * cloud.points.nbytes
+
     def test_unbounded_axis_raises(self):
         poly = strip()
         with pytest.raises(pa.DegeneratePolytope, match="unbounded"):
@@ -244,6 +259,75 @@ class TestReferenceWalk:
         assert steps > max(block, 512)
         expected = reference_walk(poly, chart, count, 11, params.burn_in, params.thinning)
         assert np.array_equal(cloud.points, expected)
+
+
+class TestOwnership:
+    """Clouds and cdfs own read-only arrays that no caller can write."""
+
+    def cloud_of(self, pts):
+        return volume.SampleCloud(
+            points=pts, seed=0,
+            walk_params=volume.WalkParams(burn_in=0, thinning=1, count=len(pts)))
+
+    def test_cloud_copies_caller_array(self):
+        pts = np.random.default_rng(1).random((50, 3))
+        kept = pts.copy()
+        cloud = self.cloud_of(pts)
+        pts[:] = 0.0
+        assert np.array_equal(cloud.points, kept)
+
+    def test_cloud_copies_caller_read_only_view(self):
+        base = np.random.default_rng(2).random((50, 3))
+        view = base[:]
+        view.flags.writeable = False
+        cloud = self.cloud_of(view)
+        base[:] = 0.0
+        assert not np.shares_memory(cloud.points, base)
+
+    def test_cdf_copies_caller_array_and_keeps_its_order(self):
+        values = np.random.default_rng(3).random(100)
+        kept = values.copy()
+        cdf = volume.ReturnCdf(agent=0, kind="empirical", samples=values)
+        assert np.array_equal(values, kept)
+        values[:] = 0.0
+        assert np.array_equal(cdf.samples, np.sort(kept))
+
+    def test_cdf_sorts_caller_read_only_array_in_a_copy(self):
+        values = np.random.default_rng(4).random(100)
+        kept = values.copy()
+        values.flags.writeable = False
+        cdf = volume.ReturnCdf(agent=0, kind="empirical", samples=values)
+        assert np.array_equal(values, kept)
+        assert np.array_equal(cdf.samples, np.sort(kept))
+
+    @pytest.mark.parametrize("kind", ["empirical", "logistic"])
+    def test_arrays_read_only(self, tmp_path, simplex3, two_cycle, kind):
+        poly = build_polytope(simplex3)
+        cloud = pa.sample_uniform(poly, pa.affine_hull(poly), 2000, seed=5)
+        pa.save_cloud(cloud, tmp_path / "cloud.csv")
+        flat = build_polytope(two_cycle)
+        with pytest.warns(UserWarning, match="zero-dimensional"):
+            degenerate = pa.sample_uniform(flat, pa.affine_hull(flat), 10, seed=0)
+        clouds = [cloud, pa.load_cloud(tmp_path / "cloud.csv"), degenerate,
+                  self.cloud_of(np.ones((4, 2)))]
+        for c in clouds:
+            with pytest.raises(ValueError, match="read-only"):
+                c.points[0, 0] = 1.0
+        cdf = pa.estimate_cdf(cloud, simplex3.rewards[0], kind=kind)
+        with pytest.raises(ValueError, match="read-only"):
+            cdf.samples[0] = 1.0
+
+    def test_cloud_shares_memory_with_no_other_array(self, simplex3):
+        poly = build_polytope(simplex3)
+        chart = pa.affine_hull(poly)
+        cloud = pa.sample_uniform(poly, chart, 2000, seed=6)
+        again = pa.sample_uniform(poly, chart, 2000, seed=6)
+        cdf = pa.estimate_cdf(cloud, simplex3.rewards[0])
+        pts = cloud.points
+        assert pts.flags.owndata and pts.base is None
+        reachable = [poly.a_ub, poly.b_ub, poly.a_eq, poly.b_eq, chart.basis,
+                     chart.origin, again.points, cdf.samples]
+        assert not any(np.shares_memory(pts, a) for a in reachable)
 
 
 class TestVolFraction:
@@ -369,6 +453,53 @@ class TestQuantileInverse:
         q1 = pct / 100.0
         q2 = min(1.0, q1 + 0.07)
         assert pa.quantile_inverse(cdf, q1) <= pa.quantile_inverse(cdf, q2) + 1e-12
+
+
+def reference_quantile(cdf, q):
+    """quantile_inverse as a plain bisection through ReturnCdf.evaluate."""
+    lo, hi = cdf.support
+    if q <= 0.0 or lo == hi:
+        return lo
+    delta = volume.QUANTILE_REL_TOL * (hi - lo)
+    while hi - lo > delta:
+        mid = 0.5 * (lo + hi)
+        if cdf.evaluate(mid) >= q:
+            hi = mid
+        else:
+            lo = mid
+    return float(hi)
+
+
+class TestQuantileReference:
+    QS = [0.0, 1.0, 1e-12, 1 - 1e-12, 0.5]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_empirical_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 3001))
+        values = rng.normal(size=n)
+        if seed % 2:
+            values = np.round(values, 1)   # ties
+        cdfs = [volume.ReturnCdf(agent=0, kind="empirical", samples=values)]
+        lo, hi = np.sort(rng.normal(size=2))
+        cdfs.append(volume.ReturnCdf(agent=0, kind="empirical", samples=values,
+                                     support=(float(lo), float(hi))))
+        for cdf in cdfs:
+            for q in self.QS + list(rng.random(10)):
+                assert pa.quantile_inverse(cdf, q) == reference_quantile(cdf, q)
+
+    def test_logistic_matches_reference(self):
+        f = pa.CnfFormula(num_variables=2, clauses=((1, 2),))
+        m = pa.gen_from_max2sat(f)
+        poly = build_polytope(m)
+        cloud = pa.sample_uniform(poly, pa.affine_hull(poly), 20_000, seed=23)
+        cdf = pa.estimate_cdf(cloud, m.rewards[0] * m.num_states, kind="logistic")
+        assert cdf.kind == "logistic"
+        narrow = volume.ReturnCdf(agent=0, kind="logistic", samples=cdf.samples,
+                                  support=(0.5, 1.75), params=cdf.params)
+        for c in (cdf, narrow):
+            for q in self.QS + list(np.linspace(0.01, 0.99, 25)):
+                assert pa.quantile_inverse(c, q) == reference_quantile(c, q)
 
 
 class TestCentroidAndMode:
