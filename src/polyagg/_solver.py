@@ -16,6 +16,11 @@ layer (about 2 ms a call).  The bindings live in scipy's private module
 - :func:`milp`: ``presolve`` on, ``mip_rel_gap`` 0, ``mip_max_nodes``;
 - both: ``output_flag`` and ``log_to_console`` off.
 
+HiGHS's MIP solver can still ``printf`` a line that neither option reaches
+(``HighsMipSolverData::transformNewIntegerFeasibleSolution
+tmpSolver.run();``), so :func:`milp` points file descriptor 1 at
+``os.devnull`` while HiGHS runs.
+
 Presolve stays off in :func:`lp`: on near-degenerate threshold rows (a
 return bound within 1e-6 of its true maximum over an equality-heavy
 polytope) HiGHS LP presolve can declare a feasible system infeasible, which
@@ -25,6 +30,10 @@ programs, and with it, it closes them.
 """
 
 from __future__ import annotations
+
+import contextlib
+import os
+import sys
 
 import numpy as np
 from scipy.optimize import OptimizeResult
@@ -125,6 +134,21 @@ def _bounds(bounds, n):
     return np.where(np.isnan(lower), -np.inf, lower), np.where(np.isnan(upper), np.inf, upper)
 
 
+@contextlib.contextmanager
+def _stdout_to_devnull():
+    """Send whatever is written to file descriptor 1 meanwhile to os.devnull."""
+    sys.stdout.flush()
+    saved = os.dup(1)
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        yield
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
 def _failure(kind, highs, status):
     return LpFailure(f"{kind} solver failed with HiGHS status {int(status)}: "
                      f"{highs.modelStatusToString(status)}")
@@ -134,7 +158,7 @@ def lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(None, None)):
     """Solve ``min c @ x`` subject to ``a_ub x <= b_ub`` and ``a_eq x = b_eq``.
 
     Variables are free by default; ``bounds`` takes linprog's forms (an
-    occupancy polytope passes ``x >= 0`` here).  Returns a scipy result
+    occupancy polytope's ``program`` passes ``x >= 0`` here).  Returns a scipy result
     with ``status`` (OPTIMAL, ITERATION_LIMIT or INFEASIBLE), ``message``,
     and at OPTIMAL ``x``, ``fun`` and the inequality rows' duals
     ``ineqlin.marginals`` (HiGHS's row duals, linprog's sign).  Raises
@@ -165,9 +189,10 @@ def lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(None, None)):
     return res
 
 
-def milp(c, a_ub, b_ub, a_eq, b_eq, lower, upper, integrality, node_limit):
-    """Solve ``min c @ x`` over the rows of :func:`lp`, ``lower <= x <= upper``
-    and integrality (1 marks an integer variable) by HiGHS branch-and-cut.
+def milp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(None, None), *,
+         integrality, node_limit):
+    """Solve ``min c @ x`` over the rows and ``bounds`` of :func:`lp` and
+    integrality (1 marks an integer variable) by HiGHS branch-and-cut.
 
     The relative gap is 0, so an OPTIMAL result is proven optimal.  Returns
     a scipy result with ``status`` one of OPTIMAL, ITERATION_LIMIT
@@ -180,8 +205,9 @@ def milp(c, a_ub, b_ub, a_eq, b_eq, lower, upper, integrality, node_limit):
     solve_count += 1
     options = _options(presolve="on", mip_rel_gap=0.0, mip_max_nodes=int(node_limit))
     c, a, row_lower, row_upper, _ = _rows(c, a_ub, b_ub, a_eq, b_eq)
-    highs, status = _solve(c, a, row_lower, row_upper, np.asarray(lower, dtype=float),
-                           np.asarray(upper, dtype=float), options, integrality)
+    lower, upper = _bounds(bounds, c.size)
+    with _stdout_to_devnull():
+        highs, status = _solve(c, a, row_lower, row_upper, lower, upper, options, integrality)
     if status not in _MILP_STATUS:
         raise _failure("MILP", highs, status)
     res = OptimizeResult(status=_MILP_STATUS[status], message=highs.modelStatusToString(status),

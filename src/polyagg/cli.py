@@ -135,16 +135,17 @@ def _cmd_aggregate(args) -> int:
         params["order"] = [int(t) for t in args.veto_order.split(",")]
     result = harness.run_rule(args.rule, pipe, **params)
     norm = result.returns  # normalized: the model's returns span [0, 1]
+    gini, nash = harness.welfare_metrics(norm)
     doc = {
         "rule": args.rule,
-        "params": {k: harness._plain(v) for k, v in params.items()},
+        "params": params,
         "seed": args.seed,
         "samples": args.samples,
         "dropped_agents": list(pipe.dropped_agents),
         "normalized_returns": [float(v) for v in norm],
-        "gini": harness.gini(norm) if norm.sum() > 1e-12 else 0.0,
-        "nash": harness.nash_welfare(norm.clip(0.0)),
-        "result": harness._result_doc(result, record_runtime=False),
+        "gini": gini,
+        "nash": nash,
+        "result": harness.result_doc(result),
     }
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "result.json").write_text(json.dumps(doc, indent=2))

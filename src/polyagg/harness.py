@@ -58,6 +58,14 @@ def nash_welfare(returns) -> float:
     return float(np.exp(np.mean(np.log(x))))
 
 
+def welfare_metrics(returns) -> tuple[float, float]:
+    """Gini and Nash welfare of a rule's normalized returns; the Gini is 0
+    when the total welfare is (near) zero."""
+    norm = np.asarray(returns, dtype=float)
+    return (gini(norm) if norm.sum() > 1e-12 else 0.0,
+            nash_welfare(np.clip(norm, 0.0, None)))
+
+
 @dataclass(frozen=True, eq=False)
 class Pipeline:
     """Shared per-instance artifacts every rule consumes."""
@@ -276,16 +284,17 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
                 continue
             elapsed = time.perf_counter() - t0
             norm = result.returns  # normalized: the model's returns span [0, 1]
+            g, w = welfare_metrics(norm)
             row = MetricsRow(
                 rule=rule_spec.label(),
                 instance_seed=instance_seed,
                 returns=tuple(float(v) for v in norm),
-                gini=gini(norm) if norm.sum() > 1e-12 else 0.0,
-                nash=nash_welfare(np.clip(norm, 0.0, None)),
+                gini=g,
+                nash=w,
                 runtime=elapsed,
             )
             rows.append(row)
-            instance_doc["rules"][rule_spec.label()] = _result_doc(result, spec.record_runtime)
+            instance_doc["rules"][rule_spec.label()] = result_doc(result, spec.record_runtime)
         results_doc.append(instance_doc)
 
     aggregates = _aggregate(rows)
@@ -323,7 +332,9 @@ def _aggregate(rows) -> list[dict]:
     return out
 
 
-def _result_doc(result: rules.RuleResult, record_runtime: bool) -> dict:
+def result_doc(result: rules.RuleResult, record_runtime: bool = False) -> dict:
+    """A rule result as plain JSON data: occupancy, policy, returns,
+    certificate and diagnostics (wall time only if ``record_runtime``)."""
     cert = result.certificate
     cert_doc = {"type": type(cert).__name__}
     for key, value in vars(cert).items():

@@ -5,11 +5,12 @@ completion, iterative leximin, and mixed binary programs whose binaries gate
 linear rows over the occupancy variables, solved by HiGHS branch-and-cut
 (with an exhaustive enumeration oracle for cross-checks).
 
-A halfspace row is a pair ``(coeffs, bound)`` meaning ``coeffs @ d <= bound``.
-Every solve takes ``d >= 0`` as variable bounds.  Programs over the
+Extra halfspaces come as one block ``(a, b)`` meaning ``a @ d <= b`` row by
+row.  Every solve over a polytope is posed by
+:meth:`~polyagg.mdp.OccupancyPolytope.program`: the polytope's rows, then
+the caller's block, with ``d >= 0`` as variable bounds.  Programs over the
 occupancy variables plus further variables (a floor, a hypograph, binaries)
-stack their rows as blocks below :func:`lifted`, which also gives their
-bounds.
+ask it for that many extra columns, which it leaves free.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import _solver
 from .errors import InfeasibleBounds, LpFailure
-from .mdp import NONNEGATIVE, OccupancyMeasure, OccupancyPolytope
+from .mdp import OccupancyMeasure, OccupancyPolytope
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
@@ -98,25 +99,14 @@ class Solution:
     nodes: int = 1
 
 
-def _stack_rows(poly: OccupancyPolytope, extra_rows):
-    rows = [poly.a_ub] if poly.a_ub.shape[0] else []
-    rhs = [poly.b_ub] if poly.b_ub.shape[0] else []
-    for coeffs, bound in extra_rows:
-        rows.append(np.asarray(coeffs, dtype=float).reshape(1, -1))
-        rhs.append(np.asarray([bound], dtype=float))
-    a_ub = np.vstack(rows) if rows else np.zeros((0, poly.dim))
-    b_ub = np.concatenate(rhs) if rhs else np.zeros(0)
-    return a_ub, b_ub
-
-
-def solve_lp(poly: OccupancyPolytope, extra_rows, obj: LinearObjective) -> Solution:
-    """Optimize a linear objective over the polytope plus extra halfspaces."""
+def solve_lp(poly: OccupancyPolytope, rows, obj: LinearObjective) -> Solution:
+    """Optimize a linear objective over the polytope intersected with the
+    halfspaces ``a @ d <= b`` of the block ``rows = (a, b)`` (None for the
+    polytope alone)."""
     if obj.coeffs.shape[0] != poly.dim:
         raise ValueError("objective length must match the polytope dimension")
-    a_ub, b_ub = _stack_rows(poly, extra_rows)
     sign = -1.0 if obj.sense == MAXIMIZE else 1.0
-    res = _solver.lp(sign * obj.coeffs, a_ub=a_ub, b_ub=b_ub,
-                     a_eq=poly.a_eq, b_eq=poly.b_eq, bounds=NONNEGATIVE)
+    res = _solver.lp(sign * obj.coeffs, *poly.program(rows))
     if res.status == _solver.INFEASIBLE:
         return Solution(status=SolveStatus.INFEASIBLE)
     if res.status == _solver.ITERATION_LIMIT:
@@ -142,21 +132,20 @@ def _measure_from_vector(x: np.ndarray, poly: OccupancyPolytope) -> OccupancyMea
     return OccupancyMeasure(table=(x / x.sum()).reshape(shape))
 
 
-def feasible(poly: OccupancyPolytope, extra_rows) -> bool:
-    """Feasibility probe for the polytope plus extra halfspaces."""
-    a_ub, b_ub = _stack_rows(poly, extra_rows)
-    res = _solver.lp(np.zeros(poly.dim), a_ub=a_ub, b_ub=b_ub,
-                     a_eq=poly.a_eq, b_eq=poly.b_eq, bounds=NONNEGATIVE)
+def feasible(poly: OccupancyPolytope, rows) -> bool:
+    """Whether the polytope meets the halfspaces of the block ``rows = (a, b)``
+    (None for the polytope alone)."""
+    res = _solver.lp(np.zeros(poly.dim), *poly.program(rows))
     return res.status != _solver.INFEASIBLE
 
 
 def lower_bound_rows(reward_vectors, bounds):
-    """Halfspace rows encoding <R_i, d> >= b_i."""
+    """The block ``(-r, -b)`` encoding <R_i, d> >= b_i."""
     r = np.asarray(reward_vectors, dtype=float)
     b = np.asarray(bounds, dtype=float).reshape(-1)
     if r.shape[0] != b.shape[0]:
         raise ValueError("one bound per reward vector required")
-    return [(-r[i], -b[i]) for i in range(r.shape[0])]
+    return -r, -b
 
 
 def pareto_complete(poly: OccupancyPolytope, lower_bounds, reward_vectors) -> OccupancyMeasure:
@@ -213,36 +202,17 @@ def _max_floor(poly, r, unfixed, fixed) -> tuple[float, np.ndarray]:
     Returns ``t*`` and the duals (>= 0) of the unfixed agents' rows.
     """
     pinned = sorted(fixed)
-    a_ub, b_ub, a_eq, b_eq, bounds = lifted(poly, 1)
-    a_ub = np.vstack([
-        a_ub,
-        np.hstack([-r[unfixed], np.ones((len(unfixed), 1))]),
-        np.hstack([-r[pinned], np.zeros((len(pinned), 1))]),
-    ])
-    b_ub = np.concatenate([b_ub, np.zeros(len(unfixed)), [-fixed[j] for j in pinned]])
+    rows = (np.vstack([np.hstack([-r[unfixed], np.ones((len(unfixed), 1))]),
+                       np.hstack([-r[pinned], np.zeros((len(pinned), 1))])]),
+            np.concatenate([np.zeros(len(unfixed)), [-fixed[j] for j in pinned]]))
     c = np.zeros(poly.dim + 1)
     c[-1] = -1.0
-    res = _solver.lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds)
+    res = _solver.lp(c, *poly.program(rows, 1))
     if res.status != _solver.OPTIMAL:
         raise LpFailure("leximin floor LP did not solve")
     n_base = poly.a_ub.shape[0]
     duals = -res.ineqlin.marginals[n_base : n_base + len(unfixed)]
     return float(-res.fun), duals
-
-
-def lifted(poly: OccupancyPolytope, extra: int):
-    """The polytope over ``[d ; w]`` with ``extra`` further variables w.
-
-    Returns ``(a_ub, b_ub, a_eq, b_eq, bounds)``: the rows with ``extra``
-    zero columns after the occupancy columns, and a ``(dim + extra, 2)``
-    array of variable bounds, ``d >= 0`` and w free.  Callers stack their
-    own rows below ``a_ub`` and may bound w further.
-    """
-    bounds = np.tile([0.0, np.inf], (poly.dim + extra, 1))
-    bounds[poly.dim:, 0] = -np.inf
-    return (np.hstack([poly.a_ub, np.zeros((poly.a_ub.shape[0], extra))]), poly.b_ub,
-            np.hstack([poly.a_eq, np.zeros((poly.a_eq.shape[0], extra))]), poly.b_eq,
-            bounds)
 
 
 # --- indicator MILPs ---------------------------------------------------------
@@ -252,11 +222,11 @@ def _relaxation_system(p: MilpProgram):
     """The MILP's LP relaxation ``(c, a_ub, b_ub, a_eq, b_eq, bounds)`` over
     ``[d ; z]``, with ``0 <= z <= 1``."""
     nz = p.weights.size
-    a_ub, b_ub, a_eq, b_eq, bounds = lifted(p.base, nz)
-    bounds[p.base.dim:] = (0.0, 1.0)
     activation = np.hstack([-p.act_coeffs, np.diag(p.act_lb)])  # lb_j z_j <= a_j @ d
-    a_ub = np.vstack([a_ub, activation, np.hstack([p.cut_d, p.cut_z])])
-    b_ub = np.concatenate([b_ub, np.zeros(nz), p.cut_ub])
+    rows = (np.vstack([activation, np.hstack([p.cut_d, p.cut_z])]),
+            np.concatenate([np.zeros(nz), p.cut_ub]))
+    a_ub, b_ub, a_eq, b_eq, bounds = p.base.program(rows, nz)
+    bounds[p.base.dim:] = (0.0, 1.0)
     c = np.concatenate([np.zeros(p.base.dim), -p.weights])
     return c, a_ub, b_ub, a_eq, b_eq, bounds
 
@@ -264,9 +234,9 @@ def _relaxation_system(p: MilpProgram):
 def milp_solve(p: MilpProgram) -> Solution:
     """Globally optimal solve by HiGHS branch-and-cut.
 
-    One MILP over ``[d ; z]`` with z binary, whose rows are the polytope's
-    (from :func:`lifted`), then the activation rows, then the cuts; then one
-    LP over the same rows with the binaries pinned to the rounded
+    One MILP over ``[d ; z]`` with z binary, posed by the polytope's
+    ``program`` with the activation rows and then the cuts as its block;
+    then one LP over the same rows with the binaries pinned to the rounded
     assignment.  The point and objective come from that LP, so activation
     rows hold to LP tolerance rather than to the MILP's integrality
     tolerance.  Deterministic: HiGHS runs with fixed options.
@@ -274,11 +244,9 @@ def milp_solve(p: MilpProgram) -> Solution:
     """
     nd, nz = p.base.dim, p.weights.size
     c, a_ub, b_ub, a_eq, b_eq, bounds = _relaxation_system(p)
-    res = _solver.milp(
-        c, a_ub, b_ub, a_eq, b_eq, lower=bounds[:, 0], upper=bounds[:, 1],
-        integrality=np.concatenate([np.zeros(nd), np.ones(nz)]),
-        node_limit=NODE_LIMIT,
-    )
+    res = _solver.milp(c, a_ub, b_ub, a_eq, b_eq, bounds,
+                       integrality=np.concatenate([np.zeros(nd), np.ones(nz)]),
+                       node_limit=NODE_LIMIT)
     nodes = int(res.mip_node_count or 1)  # None or 0 when presolve alone solves it
     if res.status == _solver.INFEASIBLE:
         return Solution(status=SolveStatus.INFEASIBLE, nodes=nodes)
@@ -286,7 +254,7 @@ def milp_solve(p: MilpProgram) -> Solution:
         return Solution(status=SolveStatus.ITERATION_LIMIT, nodes=nodes)
     z = np.round(res.x[nd:])
     bounds[nd:] = z[:, None]
-    fixed = _solver.lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds)
+    fixed = _solver.lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
     if fixed.status != _solver.OPTIMAL:
         raise LpFailure("MILP assignment is infeasible once its binaries are pinned")
     return Solution(
@@ -311,8 +279,8 @@ def enumerate_milp(p: MilpProgram) -> Solution:
     for mask in range(2**nz):
         z = np.array([(mask >> j) & 1 for j in range(nz)], dtype=float)
         on = z > 0.5
-        rows = [*zip(-p.act_coeffs[on], -p.act_lb[on]),
-                *zip(p.cut_d, p.cut_ub - p.cut_z @ z)]
+        rows = (np.vstack([-p.act_coeffs[on], p.cut_d]),
+                np.concatenate([-p.act_lb[on], p.cut_ub - p.cut_z @ z]))
         sol = solve_lp(p.base, rows, LinearObjective(np.zeros(p.base.dim), MAXIMIZE))
         if sol.status != SolveStatus.OPTIMAL:
             continue

@@ -23,8 +23,6 @@ MASS_TOL = 1e-7         # occupancy mass and polytope constraint slack
 DENOM_TOL = 1e-12       # occupancy-to-policy denominator cutoff
 INDIFFERENCE_TOL = 1e-9  # J-range below which an agent is dropped
 
-NONNEGATIVE = (0.0, None)  # solver bounds of every polytope variable
-
 
 def _freeze(a, dtype=float):
     """Copy to a C-contiguous read-only array."""
@@ -173,8 +171,8 @@ class OccupancyPolytope:
     """H-representation of a polytope in the nonnegative orthant:
     ``x >= 0``, ``a_ub x <= b_ub`` and ``a_eq x = b_eq``.
 
-    ``x >= 0`` is never stored as rows; every solve over the polytope
-    passes it to the solver as variable bounds (:data:`NONNEGATIVE`).
+    ``x >= 0`` is never stored as rows: :meth:`program` poses every solve
+    over the polytope and passes it to the solver as variable bounds.
     Construction certifies nonemptiness with one feasibility solve.  The
     equality rows of occupancy polytopes are emitted in a fixed order: the
     unit-mass row first, then one flow row per state.  ``table_shape``
@@ -201,8 +199,7 @@ class OccupancyPolytope:
             raise ValueError("inequality and equality systems must share a dimension")
         for name, arr in (("a_ub", a_ub), ("b_ub", b_ub), ("a_eq", a_eq), ("b_eq", b_eq)):
             object.__setattr__(self, name, arr)
-        res = _solver.lp(np.zeros(self.dim), a_ub=a_ub, b_ub=b_ub,
-                         a_eq=a_eq, b_eq=b_eq, bounds=NONNEGATIVE)
+        res = _solver.lp(np.zeros(self.dim), *self.program())
         if res.status == _solver.INFEASIBLE:
             raise InfeasibleModel("polytope is empty")
 
@@ -210,6 +207,26 @@ class OccupancyPolytope:
     def dim(self) -> int:
         """Ambient dimension (number of variables)."""
         return self.a_ub.shape[1]
+
+    def program(self, rows=None, extra: int = 0):
+        """The polytope as ``_solver``'s ``(a_ub, b_ub, a_eq, b_eq, bounds)``
+        over ``[x ; w]``, with ``extra`` further variables w.
+
+        The inequality rows are the polytope's ``a_ub`` rows, then the block
+        ``rows = (a, b)`` (``a @ [x ; w] <= b``) if given; the polytope's rows
+        get ``extra`` zero columns.  ``bounds`` is a fresh ``(dim + extra, 2)``
+        array, ``x >= 0`` and w free, which callers may tighten.
+        """
+        a_ub, a_eq = (np.hstack([a, np.zeros((a.shape[0], extra))]) if extra else a
+                      for a in (self.a_ub, self.a_eq))
+        b_ub = self.b_ub
+        if rows is not None:
+            a, b = rows
+            a_ub = np.vstack([a_ub, a])
+            b_ub = np.concatenate([b_ub, b])
+        bounds = np.tile([0.0, np.inf], (self.dim + extra, 1))
+        bounds[self.dim:, 0] = -np.inf
+        return a_ub, b_ub, a_eq, self.b_eq, bounds
 
     def _vector(self, x) -> np.ndarray:
         if isinstance(x, OccupancyMeasure):
@@ -323,9 +340,7 @@ def expected_return(d: OccupancyMeasure, reward_table) -> float:
 
 
 def _agent_return_bounds(poly: OccupancyPolytope, reward_vec: np.ndarray) -> tuple[float, float]:
-    lo, hi = (_solver.lp(c, a_ub=poly.a_ub, b_ub=poly.b_ub, a_eq=poly.a_eq,
-                         b_eq=poly.b_eq, bounds=NONNEGATIVE)
-              for c in (reward_vec, -reward_vec))
+    lo, hi = (_solver.lp(c, *poly.program()) for c in (reward_vec, -reward_vec))
     return float(lo.fun), float(-hi.fun)
 
 

@@ -398,12 +398,11 @@ def borda_concave(
     segments = [_concave_envelope(cdfs[i], modes[i]) for i in range(n)]
     agent = np.repeat(np.arange(n), [len(seg) for seg in segments])
     slope, intercept = np.concatenate(segments).T
-    a_ub, b_ub, a_eq, b_eq, bounds = lp.lifted(poly, n)
-    a_ub = np.vstack([a_ub, np.hstack([-rewards, np.zeros((n, n))]),
-                      np.hstack([-slope[:, None] * rewards[agent], np.eye(n)[agent]])])
-    b_ub = np.concatenate([b_ub, -modes, intercept])
+    rows = (np.vstack([np.hstack([-rewards, np.zeros((n, n))]),
+                       np.hstack([-slope[:, None] * rewards[agent], np.eye(n)[agent]])]),
+            np.concatenate([-modes, intercept]))
     c = np.concatenate([np.zeros(poly.dim), -np.ones(n)])
-    res = _solver.lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds)
+    res = _solver.lp(c, *poly.program(rows, n))
     if res.status != _solver.OPTIMAL:
         raise LpFailure("concave Borda LP did not solve")
     achieved = rewards @ res.x[:poly.dim]

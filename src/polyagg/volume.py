@@ -135,9 +135,7 @@ class ReturnCdf:
         v = np.asarray(v, dtype=float)
         lo, hi = self.support
         if self.kind == LOGISTIC:
-            growth, midpoint, asymmetry = self.params
-            z = np.clip(-growth * (v - midpoint), -700.0, 700.0)
-            out = (1.0 + np.exp(z)) ** (-asymmetry)
+            out = _logistic(v, *self.params)
             out = np.where(v <= lo, 0.0, out)
             out = np.where(v >= hi, 1.0, out)
         else:
@@ -418,23 +416,32 @@ def estimate_cdf(cloud: SampleCloud, reward_table, kind: str = EMPIRICAL,
     return empirical
 
 
-def _fit_generalized_logistic(sorted_values):
+def _logistic(v, growth, midpoint, asymmetry):
+    """``(1 + exp(-B (v - M)))**(-nu)``, its exponent clipped to +-700."""
+    z = np.clip(-growth * (v - midpoint), -700.0, 700.0)
+    return (1.0 + np.exp(z)) ** (-asymmetry)
+
+
+def _quantile_grid(sorted_values, size):
+    """At most ``size`` evenly spaced sorted samples, both extremes included,
+    and their empirical cdf levels ``(rank + 0.5) / n``."""
     n = sorted_values.shape[0]
+    grid = np.unique(np.linspace(0, n - 1, num=min(n, size)).astype(int))
+    return sorted_values[grid], (grid + 0.5) / n
+
+
+def _fit_generalized_logistic(sorted_values):
     span = sorted_values[-1] - sorted_values[0]
     if span <= 0:
         return None
-    grid = np.unique(np.linspace(0, n - 1, num=min(n, 512)).astype(int))
-    v = sorted_values[grid]
-    p = (grid + 0.5) / n
+    v, p = _quantile_grid(sorted_values, 512)
     scale = np.std(sorted_values)
     if scale <= 0:
         return None
     x0 = np.array([4.0 / scale, float(np.median(sorted_values)), 1.0])
 
     def residual(theta):
-        growth, midpoint, asymmetry = theta
-        z = np.clip(-growth * (v - midpoint), -700.0, 700.0)
-        return (1.0 + np.exp(z)) ** (-asymmetry) - p
+        return _logistic(v, *theta) - p
 
     try:
         fit = least_squares(
@@ -454,14 +461,8 @@ def _logistic_fit_acceptable(cdf: ReturnCdf, sorted_values) -> bool:
     # the check grid reaches both sample extremes, so tail misfit beyond
     # LOGISTIC_MAX_DEV rejects too; evaluation clamps to exactly 0/1 at the
     # support edges either way
-    n = sorted_values.shape[0]
-    grid = np.unique(np.linspace(0, n - 1, num=min(n, 1024)).astype(int))
-    v = sorted_values[grid]
-    p = (grid + 0.5) / n
-    growth, midpoint, asymmetry = cdf.params
-    z = np.clip(-growth * (v - midpoint), -700.0, 700.0)
-    fit_vals = (1.0 + np.exp(z)) ** (-asymmetry)
-    return float(np.max(np.abs(fit_vals - p))) <= LOGISTIC_MAX_DEV
+    v, p = _quantile_grid(sorted_values, 1024)
+    return float(np.max(np.abs(_logistic(v, *cdf.params) - p))) <= LOGISTIC_MAX_DEV
 
 
 def quantile_inverse(cdf: ReturnCdf, q: float) -> float:

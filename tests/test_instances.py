@@ -134,7 +134,7 @@ class TestMisReduction:
         poly = build_polytope(m)
         r = m.reward_vectors()
         best = np.array([
-            pa.solve_lp(poly, (), pa.LinearObjective(r[i], "maximize")).objective_value
+            pa.solve_lp(poly, None, pa.LinearObjective(r[i], "maximize")).objective_value
             for i in range(m.num_agents)
         ])
         edge_set = set(g.edges)
@@ -149,7 +149,7 @@ class TestMisReduction:
         g = pa.Graph(num_vertices=3, edges=((0, 1), (1, 2)))
         m = pa.gen_from_mis(g)
         r = m.reward_vectors()
-        best = {i: pa.solve_lp(build_polytope(m), (), pa.LinearObjective(r[i], "maximize")).objective_value
+        best = {i: pa.solve_lp(build_polytope(m), None, pa.LinearObjective(r[i], "maximize")).objective_value
                 for i in range(3)}
         attained = set()
         for _, d in pa.enumerate_deterministic_policies(m):
@@ -172,7 +172,7 @@ class TestMax2SatReduction:
         poly = build_polytope(m)
         for i in range(3):
             r = m.reward_vectors()[i]
-            hi = pa.solve_lp(poly, (), pa.LinearObjective(r, "maximize")).objective_value
+            hi = pa.solve_lp(poly, None, pa.LinearObjective(r, "maximize")).objective_value
             assert hi * m.num_states == pytest.approx(2.0, abs=1e-7)
 
     def test_at_most_one_agent_above_three_halves(self):

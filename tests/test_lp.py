@@ -5,8 +5,8 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 import polyagg as pa
-from polyagg import _solver, lp, rules, volume
-from polyagg.mdp import MASS_TOL, NONNEGATIVE, build_polytope
+from polyagg import _solver, harness, lp, rules, volume
+from polyagg.mdp import MASS_TOL, build_polytope
 
 from conftest import strip
 
@@ -18,31 +18,31 @@ def simplex3_poly(simplex3):
 
 class TestSolveLp:
     def test_total_mass_objective(self, simplex3_poly):
-        sol = pa.solve_lp(simplex3_poly, (), pa.LinearObjective(np.ones(3), "maximize"))
+        sol = pa.solve_lp(simplex3_poly, None, pa.LinearObjective(np.ones(3), "maximize"))
         assert sol.status is pa.SolveStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(1.0, abs=1e-7)
 
     def test_vertex_optimum(self, simplex3, simplex3_poly):
         r1 = simplex3.reward_vectors()[0]
-        sol = pa.solve_lp(simplex3_poly, (), pa.LinearObjective(r1, "maximize"))
+        sol = pa.solve_lp(simplex3_poly, None, pa.LinearObjective(r1, "maximize"))
         assert sol.objective_value == pytest.approx(1.0, abs=1e-7)
         assert np.allclose(sol.point.flat, [1.0, 0.0, 0.0], atol=1e-7)
 
     def test_infeasible_extra_row(self, simplex3, simplex3_poly):
         r1 = simplex3.reward_vectors()[0]
-        sol = pa.solve_lp(simplex3_poly, [(-r1, -2.0)], pa.LinearObjective(r1, "maximize"))
+        sol = pa.solve_lp(simplex3_poly, (-r1[None], [-2.0]), pa.LinearObjective(r1, "maximize"))
         assert sol.status is pa.SolveStatus.INFEASIBLE
         assert sol.point is None
 
     def test_point_satisfies_extra_rows(self, simplex3, simplex3_poly):
         r1 = simplex3.reward_vectors()[0]
-        sol = pa.solve_lp(simplex3_poly, [(r1, 0.4)], pa.LinearObjective(r1, "maximize"))
+        sol = pa.solve_lp(simplex3_poly, (r1[None], [0.4]), pa.LinearObjective(r1, "maximize"))
         assert sol.objective_value == pytest.approx(0.4, abs=1e-7)
 
     def test_determinism_bitwise(self, simplex3_poly):
         obj = pa.LinearObjective(np.array([0.3, 0.3, 0.4]), "maximize")
-        a = pa.solve_lp(simplex3_poly, (), obj)
-        b = pa.solve_lp(simplex3_poly, (), obj)
+        a = pa.solve_lp(simplex3_poly, None, obj)
+        b = pa.solve_lp(simplex3_poly, None, obj)
         assert np.array_equal(a.point.flat, b.point.flat)
         assert a.objective_value == b.objective_value
 
@@ -68,11 +68,11 @@ class TestImpliedBounds:
         # leaves y free unless it is given the orthant's bounds
         poly = strip()
         assert pa.affine_hull(poly).dim == 2
-        res = _solver.lp([0.0, 1.0], a_ub=poly.a_ub, b_ub=poly.b_ub, bounds=NONNEGATIVE)
+        res = _solver.lp([0.0, 1.0], *poly.program())
         assert res.status == _solver.OPTIMAL
         assert res.x[1] == pytest.approx(0.0)
         with pytest.raises(pa.LpFailure):  # y unbounded above
-            _solver.lp([0.0, -1.0], a_ub=poly.a_ub, b_ub=poly.b_ub, bounds=NONNEGATIVE)
+            _solver.lp([0.0, -1.0], *poly.program())
         with pytest.raises(pa.LpFailure):  # y free: unbounded below
             _solver.lp([0.0, 1.0], a_ub=poly.a_ub, b_ub=poly.b_ub)
         with pytest.raises(pa.DegeneratePolytope, match="unbounded"):
@@ -117,9 +117,33 @@ def assert_matches_linprog(args, kwargs):
         assert res.x is None and ref.x is None
 
 
+@pytest.fixture(scope="module")
+def random_500_pipe():
+    # borda_concave's mode region is nonempty on this model
+    return harness.prepare(pa.random_momdp(4, 3, 4, seed=500), 20_000, seed=7)
+
+
 class TestLinprogReference:
     """``_solver`` drives HiGHS itself and agrees bit for bit with scipy's
     ``linprog`` and ``milp`` under the same options."""
+
+    @pytest.mark.parametrize("solve", [
+        "constructor", "pareto_complete", "max_quantile", "milp_pinned_lp", "borda_concave"])
+    def test_programs_over_the_polytope(self, solve, random_500_pipe, monkeypatch):
+        m, poly, cdfs = random_500_pipe.model, random_500_pipe.poly, list(random_500_pipe.cdfs)
+        r = m.reward_vectors()
+        run = {
+            "constructor": lambda: build_polytope(m),
+            "pareto_complete": lambda: lp.pareto_complete(poly, np.full(r.shape[0], 0.4), r),
+            "max_quantile": lambda: rules.max_quantile(m, poly, cdfs),  # feasible probes
+            "milp_pinned_lp": lambda: lp.milp_solve(
+                rules.approval_program(m, poly, cdfs, alpha=0.9)[0]),
+            "borda_concave": lambda: rules.borda_concave(m, poly, cdfs),  # hypograph LP
+        }[solve]
+        calls = recorded_lps(monkeypatch, run)
+        assert calls
+        for args, kwargs in calls:
+            assert_matches_linprog(args, kwargs)
 
     def test_warehouse_return_bounds(self, monkeypatch):
         m = pa.gen_warehouse(pa.WarehouseParams(warehouses=3, agents=4, seed=2000))
@@ -144,22 +168,21 @@ class TestLinprogReference:
         model, _ = pa.normalize_rewards(m, poly)
         calls = recorded_lps(monkeypatch, lambda: lp.leximin(poly, model.reward_vectors()))
         args, kwargs = calls[0]  # the first round's floor LP
-        assert kwargs["a_ub"].shape[0] == model.num_agents
+        assert args[1].shape[0] == model.num_agents  # a_ub
         assert_matches_linprog(args, kwargs)
 
     def test_infeasible_system(self, simplex3):
         poly = build_polytope(simplex3)
         r = simplex3.reward_vectors()
-        args = (np.zeros(poly.dim),)
-        kwargs = dict(a_ub=-r, b_ub=np.full(3, -0.5), a_eq=poly.a_eq, b_eq=poly.b_eq,
-                      bounds=NONNEGATIVE)
+        args = (np.zeros(poly.dim), *poly.program((-r, np.full(3, -0.5))))
+        kwargs = {}
         assert _solver.lp(*args, **kwargs).status == _solver.INFEASIBLE
         assert_matches_linprog(args, kwargs)
 
     def test_unbounded_system_raises(self):
         # min -y over 0 <= x <= 1, y >= 0
-        args = ([0.0, -1.0],)
-        kwargs = dict(a_ub=strip().a_ub, b_ub=strip().b_ub, bounds=NONNEGATIVE)
+        args = ([0.0, -1.0], *strip().program())
+        kwargs = {}
         assert linprog_reference(*args, **kwargs).status == 3  # unbounded
         with pytest.raises(pa.LpFailure, match="Unbounded"):
             _solver.lp(*args, **kwargs)
@@ -171,8 +194,8 @@ class TestLinprogReference:
         program, _ = rules.approval_program(model, poly, None, alpha=1.0)
         c, a_ub, b_ub, a_eq, b_eq, bounds = lp._relaxation_system(program)
         integrality = np.concatenate([np.zeros(poly.dim), np.ones(program.weights.size)])
-        res = _solver.milp(c, a_ub, b_ub, a_eq, b_eq, bounds[:, 0], bounds[:, 1],
-                           integrality, lp.NODE_LIMIT)
+        res = _solver.milp(c, a_ub, b_ub, a_eq, b_eq, bounds, integrality=integrality,
+                           node_limit=lp.NODE_LIMIT)
         ref = milp(c, integrality=integrality, bounds=Bounds(bounds[:, 0], bounds[:, 1]),
                    constraints=[LinearConstraint(a_ub, -np.inf, b_ub),
                                 LinearConstraint(a_eq, b_eq, b_eq)],
@@ -356,8 +379,7 @@ class TestMilp:
         rng = np.random.default_rng(1)
         weights = rng.integers(10, 100, (5, 60)).astype(float)
         values = rng.integers(10, 100, 60).astype(float)
-        res = _solver.milp(-values, weights, weights.sum(axis=1) / 3, None, None,
-                           lower=np.zeros(60), upper=np.ones(60),
+        res = _solver.milp(-values, weights, weights.sum(axis=1) / 3, bounds=(0.0, 1.0),
                            integrality=np.ones(60), node_limit=1)
         assert res.status == _solver.ITERATION_LIMIT
 

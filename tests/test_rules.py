@@ -221,10 +221,11 @@ class TestAlphaApproval:
         for i in res.certificate.approving_agents:
             assert res.returns[i] >= res.certificate.thresholds[i] - 1e-7
 
-    def test_warehouse_milp_exact_despite_highs_print(self, monkeypatch):
+    def test_warehouse_milp_exact_despite_highs_print(self, monkeypatch, capfd):
         # On this program (the warehouse benchmark's seed 11, batch 0, slot 4)
         # HiGHS prints "HighsMipSolverData::transformNewIntegerFeasibleSolution
-        # tmpSolver.run();" from inside its MIP solver; the solve stays exact
+        # tmpSolver.run();" from inside its MIP solver to file descriptor 1,
+        # which _solver.milp points at os.devnull; the solve stays exact
         results = []
         solve = _solver.milp
 
@@ -240,6 +241,7 @@ class TestAlphaApproval:
         assert [(r.status, r.mip_gap) for r in results] == [(_solver.OPTIMAL, 0.0)]
         program, _ = rules.approval_program(pipe.model, pipe.poly, cdfs, alpha=0.9)
         assert res.certificate.score == lp.enumerate_milp(program).objective_value
+        assert capfd.readouterr() == ("", "")
 
     def test_budget_error_surfaces(self, simplex3_pipe, node_limit_reached):
         with pytest.raises(pa.MilpBudgetExhausted):
