@@ -7,7 +7,9 @@ Subcommands:
 
 Exit codes: 0 on success, 2 for infeasible or degenerate input, a parameter
 out of range or a JSON file missing a required key or holding a value of
-the wrong shape (a ``ValueError``, such as ``--epsilon 0``), 3 when a solver
+the wrong shape (a ``ValueError``, such as ``--epsilon 0``), or a file the
+command cannot read or write (an ``OSError``, such as a missing ``--momdp``
+file or a ``--save-cloud`` path in a missing directory), 3 when a solver
 budget was exhausted.
 """
 
@@ -170,7 +172,7 @@ def main(argv=None) -> int:
         if args.command == "aggregate":
             return _cmd_aggregate(args)
         return _cmd_experiment(args)
-    except (*_INFEASIBLE_ERRORS, ValueError) as exc:
+    except (*_INFEASIBLE_ERRORS, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except MilpBudgetExhausted as exc:

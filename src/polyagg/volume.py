@@ -58,39 +58,51 @@ class WalkParams:
 
 @dataclass(frozen=True, eq=False)
 class SampleCloud:
-    """Uniform samples of a polytope: a (count, ambient) matrix of points.
+    """Uniform samples of a polytope, kept in its hull chart's coordinates.
 
-    Reproducible bit-for-bit from (seed, walk_params).  ``degenerate`` marks
-    clouds over zero-dimensional polytopes, where every row is the unique
-    feasible point.
+    ``coords`` is a (count, chart.dim) matrix: sample k is the ambient point
+    ``chart.origin + chart.basis @ coords[k]``.  Per-agent returns are read
+    through the chart, so no ambient copy of the cloud is ever held; a
+    zero-dimensional cloud has (count, 0) ``coords``.  Reproducible
+    bit-for-bit from (seed, walk_params).  ``degenerate`` marks clouds over
+    zero-dimensional polytopes, where every sample is the unique feasible
+    point.
 
-    ``points`` is read-only.  An array that is already read-only, C-ordered
-    float64 and owns its data, as :func:`sample_uniform` and
-    :func:`load_cloud` build it, is kept as it is; anything else is copied,
-    so later writes to a caller's array leave the cloud unchanged.
+    ``coords`` is read-only.  An array that is already read-only, C-ordered
+    float64 and owns its data or views a read-only array that does, as
+    :func:`sample_uniform` and :func:`load_cloud` build it, is kept as it
+    is; anything else is copied, so later writes to a caller's array leave
+    the cloud unchanged.
     """
 
-    points: np.ndarray
+    coords: np.ndarray
+    chart: HullChart
     seed: int
     walk_params: WalkParams
-    chart: HullChart | None = None
     degenerate: bool = False
     table_shape: tuple[int, int] | None = None
 
     def __post_init__(self):
-        pts = self.points
-        if not _sealed(pts):
-            pts = _seal(np.array(pts, dtype=float, order="C", copy=True))
-        object.__setattr__(self, "points", pts)
+        c = self.coords
+        if not _sealed(c):
+            c = _seal(np.array(c, dtype=float, order="C", copy=True))
+        object.__setattr__(self, "coords", c)
 
     @property
     def count(self) -> int:
-        return self.points.shape[0]
+        return self.coords.shape[0]
+
+    @property
+    def points(self) -> np.ndarray:
+        """The samples as a fresh read-only (count, ambient) matrix."""
+        return _seal(self.chart.to_ambient(self.coords))
 
     def returns(self, reward_table) -> np.ndarray:
         """Per-sample returns <x, R> for one reward table (any shape)."""
         r = np.asarray(reward_table, dtype=float).reshape(-1)
-        return self.points @ r
+        values = self.coords @ (self.chart.basis.T @ r)
+        values += self.chart.origin @ r
+        return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,9 +121,10 @@ class ReturnCdf:
     evaluates through fitted parameters ``(growth, midpoint, asymmetry)`` of
     ``(1 + exp(-B (v - M)))**(-nu)``.
 
-    A 1-D array that is already sorted, read-only, float64 and owns its data,
-    as :func:`estimate_cdf` builds it, is kept as it is; anything else is
-    copied and the copy sorted, so a caller's array is never reordered.
+    A 1-D array that is already sorted, read-only, float64 and owns its data
+    (or views a read-only array that does), as :func:`estimate_cdf` builds
+    it, is kept as it is; anything else is copied and the copy sorted, so a
+    caller's array is never reordered.
     """
 
     agent: int | str
@@ -150,9 +163,13 @@ class ReturnCdf:
 
 def _sealed(a) -> bool:
     """Whether a constructor may keep ``a`` without a copy: a read-only,
-    C-ordered float64 ndarray that owns its data."""
-    return (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata
-            and a.flags.c_contiguous and not a.flags.writeable)
+    C-ordered float64 ndarray that owns its data or views a read-only
+    ndarray that does."""
+    if not (type(a) is np.ndarray and a.dtype == np.float64
+            and a.flags.c_contiguous and not a.flags.writeable):
+        return False
+    owner = a if a.flags.owndata else a.base
+    return type(owner) is np.ndarray and owner.flags.owndata and not owner.flags.writeable
 
 
 def _seal(a: np.ndarray) -> np.ndarray:
@@ -263,10 +280,10 @@ def sample_uniform(
     record) is recorded per chain; the cloud concatenates the chains'
     records in chain-major order and truncates to ``count``.  Records are
     written straight into a ``(chains, per_chain, dim)`` array, so the
-    concatenation is a reshape, and one matrix product maps them to ambient
-    coordinates.  The cloud takes that product as its ``points``, read-only
-    and not copied: no other array holds it, so a walk's peak is the records
-    plus one ambient cloud.
+    concatenation and the truncation are views.  The cloud keeps those
+    chart coordinates as its ``coords``, read-only and neither copied nor
+    mapped to ambient coordinates, so a walk's peak is the records plus the
+    walk's own working arrays.
 
     A step gathers the axis's rows of the ``(rows, chains)`` slack matrix,
     reduces them to each chain's chord, and updates the slack by one BLAS
@@ -274,8 +291,8 @@ def sample_uniform(
     cost is the dispatch of its dozen numpy and BLAS calls rather than their
     arithmetic; the loop makes no call it can avoid.
 
-    A zero-dimensional chart cannot be walked: the unique feasible point is
-    repeated ``count`` times and the cloud is flagged degenerate.
+    A zero-dimensional chart cannot be walked: the cloud holds ``count``
+    empty coordinate rows, each the chart origin, and is flagged degenerate.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -283,9 +300,8 @@ def sample_uniform(
     if dim == 0:
         params = WalkParams(burn_in=0, thinning=1, count=count, chains=1)
         warnings.warn("sampling a zero-dimensional polytope: repeating its point")
-        pts = _seal(np.repeat(chart.origin[None, :], count, axis=0))
-        return SampleCloud(points=pts, seed=seed, walk_params=params,
-                           chart=chart, degenerate=True,
+        return SampleCloud(coords=_seal(np.empty((count, 0))), chart=chart, seed=seed,
+                           walk_params=params, degenerate=True,
                            table_shape=poly.table_shape)
     burn_in = 1000 * dim if burn_in is None else int(burn_in)
     thinning = dim if thinning is None else int(thinning)
@@ -349,10 +365,9 @@ def sample_uniform(
             records[:, rec] = y.T
             rec += 1
             next_record += thinning
-    # chain-major records: the reshape is a view
-    ambient = records.reshape(chains * per_chain, dim)[:count] @ chart.basis.T
-    ambient += chart.origin
-    return SampleCloud(points=_seal(ambient), seed=seed, walk_params=params, chart=chart,
+    # chain-major records: the reshape and the truncation are views
+    coords = _seal(records).reshape(chains * per_chain, dim)[:count]
+    return SampleCloud(coords=coords, chart=chart, seed=seed, walk_params=params,
                        table_shape=poly.table_shape)
 
 
@@ -503,22 +518,18 @@ def quantile_inverse(cdf: ReturnCdf, q: float) -> float:
 
 
 def centroid_point(cloud: SampleCloud) -> np.ndarray:
-    """Coordinate-wise sample mean, re-projected onto the equality subspace.
+    """Sample mean in chart coordinates, mapped to an ambient point.
 
-    The projection through the hull chart guards against accumulated drift
-    off the equality rows.
+    Taking the mean in the chart keeps it on the hull's equality rows.
     """
-    mean = cloud.points.mean(axis=0)
-    if cloud.chart is not None:
-        chart = cloud.chart
-        mean = chart.origin + chart.basis @ ((mean - chart.origin) @ chart.basis)
-    return mean
+    chart = cloud.chart
+    return chart.origin + chart.basis @ cloud.coords.mean(axis=0)
 
 
 def centroid_estimate(cloud: SampleCloud) -> OccupancyMeasure:
     """Centroid of an occupancy polytope as a typed occupancy measure."""
     mean = centroid_point(cloud)
-    shape = cloud.table_shape or (1, cloud.points.shape[1])
+    shape = cloud.table_shape or (1, mean.shape[0])
     return OccupancyMeasure(table=mean.reshape(shape))
 
 
@@ -545,6 +556,11 @@ def mode_estimate(cdf: ReturnCdf) -> float:
 
 
 def save_cloud(cloud: SampleCloud, path) -> None:
+    """Write the cloud's ambient points, one per line, under a header line.
+
+    The file holds points, not chart coordinates, so it can be read
+    without the chart that produced it.
+    """
     p = cloud.walk_params
     header = (
         f"polyagg-cloud seed={cloud.seed} burn_in={p.burn_in} thinning={p.thinning} "
@@ -556,24 +572,53 @@ def save_cloud(cloud: SampleCloud, path) -> None:
 
 
 def load_cloud(path) -> SampleCloud:
+    """Read a cloud written by :func:`save_cloud`.
+
+    The points become the coordinates of the identity chart on their
+    ambient space, so the loaded cloud's returns are the points' own
+    products with a reward table.  Raises ``ValueError`` for a file that is
+    not a cloud, lacks a header field, has no rows, has a row count other
+    than its header's ``count``, a column count other than S * A of its
+    ``table_shape``, or a value that is not finite.
+    """
     with open(path) as fh:
         first = fh.readline()
-    if not first.startswith("# polyagg-cloud"):
-        raise ValueError("not a polyagg cloud file")
-    fields = dict(tok.split("=") for tok in first.split()[2:])
-    pts = _seal(np.loadtxt(path, delimiter=",", ndmin=2))
-    params = WalkParams(
-        burn_in=int(fields["burn_in"]),
-        thinning=int(fields["thinning"]),
-        count=int(fields["count"]),
-        chains=int(fields["chains"]),
-    )
-    shape = fields.get("table_shape")
+        if not first.startswith("# polyagg-cloud"):
+            raise ValueError("not a polyagg cloud file")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # "input contained no data"
+            pts = np.loadtxt(fh, delimiter=",", ndmin=2)
+    try:
+        fields = dict(tok.split("=") for tok in first.split()[2:])
+        params = WalkParams(
+            burn_in=int(fields["burn_in"]),
+            thinning=int(fields["thinning"]),
+            count=int(fields["count"]),
+            chains=int(fields["chains"]),
+        )
+        seed, degenerate = int(fields["seed"]), bool(int(fields["degenerate"]))
+        shape = fields.get("table_shape")
+        table_shape = tuple(int(n) for n in shape.split("x")) if shape else None
+        if table_shape is not None and len(table_shape) != 2:
+            raise ValueError(f"table_shape={shape} is not SxA")
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"cloud file {path} has a malformed header: {exc!r}") from None
+    rows, cols = pts.shape
+    if rows == 0:
+        raise ValueError(f"cloud file {path} has no rows")
+    if rows != params.count:
+        raise ValueError(f"cloud file {path} has {rows} rows but its header "
+                         f"says count={params.count}")
+    if table_shape is not None and cols != table_shape[0] * table_shape[1]:
+        raise ValueError(f"cloud file {path} has {cols} columns but its header "
+                         f"says table_shape={shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError(f"cloud file {path} holds a value that is not finite")
     return SampleCloud(
-        points=pts,
-        seed=int(fields["seed"]),
+        coords=_seal(pts),
+        chart=HullChart(basis=np.eye(cols), origin=np.zeros(cols), dim=cols),
+        seed=seed,
         walk_params=params,
-        chart=None,
-        degenerate=bool(int(fields["degenerate"])),
-        table_shape=tuple(int(n) for n in shape.split("x")) if shape else None,
+        degenerate=degenerate,
+        table_shape=table_shape,
     )

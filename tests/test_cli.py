@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import polyagg as pa
 from polyagg.cli import main
@@ -38,6 +39,19 @@ class TestGen:
         assert run_cli("gen", "max2sat", "--cnf", cnf, "--out", out) == 0
         m = pa.load_momdp(out)
         assert m.num_agents == 6
+
+
+    @pytest.mark.parametrize("kind, flag", [("mis", "--graph"), ("max2sat", "--cnf")])
+    def test_missing_input_exit_code(self, tmp_path, capsys, kind, flag):
+        code = run_cli("gen", kind, flag, tmp_path / "missing.txt")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
+
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        code = run_cli("gen", "simplex", "--actions", 2,
+                       "--out", tmp_path / "nodir" / "m.json")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
 
 
 class TestAggregate:
@@ -108,6 +122,24 @@ class TestAggregate:
         assert err.startswith("error: ValueError: MOMDP JSON must be an object "
                               "with the key 'criterion', not list")
 
+    def test_missing_momdp_exit_code(self, tmp_path, capsys):
+        code = run_cli("aggregate", "--momdp", tmp_path / "missing.json",
+                       "--rule", "utilitarian", "--seed", 1, "--samples", 500,
+                       "--out", tmp_path / "v")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError: ")
+        assert "missing.json" in err and "Traceback" not in err
+
+    def test_unwritable_save_cloud_exit_code(self, tmp_path, capsys):
+        momdp = tmp_path / "m.json"
+        run_cli("gen", "simplex", "--actions", 2, "--out", momdp)
+        code = run_cli("aggregate", "--momdp", momdp, "--rule", "utilitarian",
+                       "--seed", 1, "--samples", 500, "--out", tmp_path / "u",
+                       "--save-cloud", tmp_path / "nodir" / "c.csv")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
+
     def test_budget_exit_code(self, tmp_path, monkeypatch):
         import polyagg.harness as harness_mod
 
@@ -141,6 +173,24 @@ class TestExperiment:
         assert csv_text.splitlines()[0].startswith("kind,seed,rule")
         doc = json.loads((out_dir / "results.json").read_text())
         assert len(doc["metrics"]) == 4
+
+    def test_missing_spec_exit_code(self, tmp_path, capsys):
+        code = run_cli("experiment", "--spec", tmp_path / "missing.json")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
+
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "source": {"generator": "simplex", "params": {"actions": 2}},
+            "rules": [{"name": "utilitarian"}], "seed": 1, "instances": 1,
+            "samples": 500,
+        }))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = run_cli("experiment", "--spec", spec_path, "--out", blocker / "r")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: NotADirectoryError: ")
 
     def test_spec_missing_key_exit_code(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -165,6 +165,21 @@ class TestSampleUniform:
             tracemalloc.stop()
         assert peak <= 2.5 * cloud.points.nbytes
 
+    def test_walk_peak_against_chart_records(self):
+        # the cloud keeps the walk's chart-coordinate records; an ambient
+        # cloud on top of them would read ~2.7x
+        poly = build_polytope(pa.gen_warehouse(pa.WarehouseParams(3, 4, seed=2000)))
+        chart = pa.affine_hull(poly)
+        tracemalloc.start()
+        try:
+            cloud = pa.sample_uniform(poly, chart, 12_800, seed=2000,
+                                      burn_in=2_000, thinning=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        records = cloud.count * chart.dim * np.dtype(float).itemsize
+        assert peak <= 2.0 * records
+
     def test_unbounded_axis_raises(self):
         poly = strip()
         with pytest.raises(pa.DegeneratePolytope, match="unbounded"):
@@ -261,18 +276,58 @@ class TestReferenceWalk:
         assert np.array_equal(cloud.points, expected)
 
 
+def identity_cloud(pts):
+    """A hand-built cloud whose coordinates are its (count, n) points."""
+    n = pts.shape[1]
+    return volume.SampleCloud(
+        coords=pts, chart=volume.HullChart(basis=np.eye(n), origin=np.zeros(n), dim=n),
+        seed=0, walk_params=volume.WalkParams(burn_in=0, thinning=1, count=len(pts)))
+
+
+class TestChartCoordinates:
+    """A cloud's returns read through its chart match its ambient points."""
+
+    @pytest.mark.parametrize("name", ["warehouse", "simplex", "transient", "box"])
+    def test_returns_match_points(self, name, transient_53):
+        poly = {
+            "warehouse": lambda: build_polytope(
+                pa.gen_warehouse(pa.WarehouseParams(3, 4, seed=2000))),
+            "simplex": lambda: build_polytope(pa.gen_simplex_instance(4)),
+            "transient": lambda: build_polytope(transient_53),
+            "box": lambda: unit_box(3),
+        }[name]()
+        chart = pa.affine_hull(poly)
+        cloud = pa.sample_uniform(poly, chart, 3000, seed=12)
+        assert cloud.coords.shape == (3000, chart.dim)
+        for r in np.random.default_rng(0).random((3, poly.dim)):
+            assert np.max(np.abs(cloud.returns(r) - cloud.points @ r)) <= 1e-12
+
+    def test_loaded_returns_bitwise(self, tmp_path, simplex3):
+        poly = build_polytope(simplex3)
+        cloud = pa.sample_uniform(poly, pa.affine_hull(poly), 500, seed=24)
+        path = tmp_path / "cloud.csv"
+        pa.save_cloud(cloud, path)
+        back = pa.load_cloud(path)
+        for r in simplex3.rewards:
+            assert np.array_equal(back.returns(r), cloud.points @ r.reshape(-1))
+
+    def test_degenerate_returns_origin(self, two_cycle):
+        poly = build_polytope(two_cycle)
+        chart = pa.affine_hull(poly)
+        with pytest.warns(UserWarning, match="zero-dimensional"):
+            cloud = pa.sample_uniform(poly, chart, 50, seed=0)
+        assert cloud.coords.shape == (50, 0)
+        r = np.array([[1.0], [3.0]])
+        assert np.array_equal(cloud.returns(r), np.full(50, chart.origin @ r.reshape(-1)))
+
+
 class TestOwnership:
     """Clouds and cdfs own read-only arrays that no caller can write."""
-
-    def cloud_of(self, pts):
-        return volume.SampleCloud(
-            points=pts, seed=0,
-            walk_params=volume.WalkParams(burn_in=0, thinning=1, count=len(pts)))
 
     def test_cloud_copies_caller_array(self):
         pts = np.random.default_rng(1).random((50, 3))
         kept = pts.copy()
-        cloud = self.cloud_of(pts)
+        cloud = identity_cloud(pts)
         pts[:] = 0.0
         assert np.array_equal(cloud.points, kept)
 
@@ -280,9 +335,9 @@ class TestOwnership:
         base = np.random.default_rng(2).random((50, 3))
         view = base[:]
         view.flags.writeable = False
-        cloud = self.cloud_of(view)
+        cloud = identity_cloud(view)
         base[:] = 0.0
-        assert not np.shares_memory(cloud.points, base)
+        assert not np.shares_memory(cloud.coords, base)
 
     def test_cdf_copies_caller_array_and_keeps_its_order(self):
         values = np.random.default_rng(3).random(100)
@@ -309,10 +364,11 @@ class TestOwnership:
         with pytest.warns(UserWarning, match="zero-dimensional"):
             degenerate = pa.sample_uniform(flat, pa.affine_hull(flat), 10, seed=0)
         clouds = [cloud, pa.load_cloud(tmp_path / "cloud.csv"), degenerate,
-                  self.cloud_of(np.ones((4, 2)))]
+                  identity_cloud(np.ones((4, 2)))]
         for c in clouds:
-            with pytest.raises(ValueError, match="read-only"):
-                c.points[0, 0] = 1.0
+            for a in (c.coords, c.points):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 1.0
         cdf = pa.estimate_cdf(cloud, simplex3.rewards[0], kind=kind)
         with pytest.raises(ValueError, match="read-only"):
             cdf.samples[0] = 1.0
@@ -323,11 +379,12 @@ class TestOwnership:
         cloud = pa.sample_uniform(poly, chart, 2000, seed=6)
         again = pa.sample_uniform(poly, chart, 2000, seed=6)
         cdf = pa.estimate_cdf(cloud, simplex3.rewards[0])
-        pts = cloud.points
-        assert pts.flags.owndata and pts.base is None
+        coords = cloud.coords
+        # a view of the walk's read-only records, which nothing else holds
+        assert coords.base.flags.owndata and not coords.base.flags.writeable
         reachable = [poly.a_ub, poly.b_ub, poly.a_eq, poly.b_eq, chart.basis,
-                     chart.origin, again.points, cdf.samples]
-        assert not any(np.shares_memory(pts, a) for a in reachable)
+                     chart.origin, again.coords, cloud.points, cdf.samples]
+        assert not any(np.shares_memory(coords, a) for a in reachable)
 
 
 class TestVolFraction:
@@ -403,10 +460,7 @@ class TestEstimateCdf:
     def test_logistic_rejection_falls_back(self):
         # two tight clusters: no generalized-logistic cdf fits within 0.05
         pts = np.concatenate([np.full(500, 0.0), np.full(500, 1.0)])
-        cloud = volume.SampleCloud(
-            points=pts[:, None], seed=0,
-            walk_params=volume.WalkParams(burn_in=0, thinning=1, count=1000),
-        )
+        cloud = identity_cloud(pts[:, None])
         cdf = pa.estimate_cdf(cloud, np.array([1.0]), kind="logistic")
         assert cdf.kind == "empirical"
 
@@ -445,10 +499,7 @@ class TestQuantileInverse:
     def test_monotone_in_q(self, pct):
         rng = np.random.default_rng(42)
         pts = np.sort(rng.beta(2, 3, size=4000))[:, None]
-        cloud = volume.SampleCloud(
-            points=pts, seed=0,
-            walk_params=volume.WalkParams(burn_in=0, thinning=1, count=4000),
-        )
+        cloud = identity_cloud(pts)
         cdf = pa.estimate_cdf(cloud, np.array([1.0]))
         q1 = pct / 100.0
         q2 = min(1.0, q1 + 0.07)
@@ -584,6 +635,30 @@ class TestCloudInterchange:
         back = pa.load_cloud(path)
         assert back.table_shape == cloud.table_shape == poly.table_shape
         assert pa.centroid_estimate(back).table.shape == poly.table_shape
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        """Lines of a saved 200-sample cloud: its header, then its rows."""
+        poly = build_polytope(pa.gen_simplex_instance(3))
+        cloud = pa.sample_uniform(poly, pa.affine_hull(poly), 200, seed=25)
+        pa.save_cloud(cloud, tmp_path / "cloud.csv")
+        return (tmp_path / "cloud.csv").read_text().splitlines(keepends=True)
+
+    @pytest.mark.parametrize("damage, match", [
+        (lambda lines: lines[:50], "has 49 rows but its header says count=200"),
+        (lambda lines: lines[:1], "has no rows"),
+        (lambda lines: [lines[0]] + [",".join(ln.split(",")[:2]) + "\n"
+                                     for ln in lines[1:]],
+         "has 2 columns but its header says table_shape=1x3"),
+        (lambda lines: lines[:7] + ["nan,0.5,0.5\n"] + lines[8:], "not finite"),
+        (lambda lines: [lines[0].replace(" seed=25", "")] + lines[1:],
+         "malformed header: KeyError"),
+    ])
+    def test_rejects_damaged_file(self, tmp_path, saved, damage, match):
+        path = tmp_path / "damaged.csv"
+        path.write_text("".join(damage(saved)))
+        with pytest.raises(ValueError, match=match):
+            pa.load_cloud(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.csv"
