@@ -10,7 +10,7 @@ out of range or a JSON file missing a required key or holding a value of
 the wrong shape (a ``ValueError``, such as ``--epsilon 0``), or a file the
 command cannot read or write (an ``OSError``, such as a missing ``--momdp``
 file or a ``--save-cloud`` path in a missing directory), 3 when a solver
-budget was exhausted.
+budget was exhausted.  A bad output path fails before any walk.
 """
 
 from __future__ import annotations
@@ -122,6 +122,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     m = load_momdp(args.momdp)
+    # fail on a bad output path before the walk, not after it
+    args.out.mkdir(parents=True, exist_ok=True)
+    if args.save_cloud:
+        args.save_cloud.open("a").close()
     pipe = harness.prepare(
         m, args.samples, args.seed, cdf_kind=args.cdf,
         burn_in=args.burn_in, thinning=args.thinning, chains=args.chains,
@@ -149,7 +153,6 @@ def _cmd_aggregate(args) -> int:
         "nash": nash,
         "result": harness.result_doc(result),
     }
-    args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "result.json").write_text(json.dumps(doc, indent=2))
     print(f"wrote {args.out / 'result.json'}")
     return 0

@@ -73,8 +73,7 @@ class Pipeline:
     model: Momdp                    # normalized rewards
     dropped_agents: tuple[int, ...]
     poly: OccupancyPolytope
-    chart: volume.HullChart
-    cloud: volume.SampleCloud
+    cloud: volume.SampleCloud       # its ``chart`` is the polytope's hull chart
     cdfs: tuple[volume.ReturnCdf, ...]
 
 
@@ -83,15 +82,14 @@ def prepare(m: Momdp, samples: int, seed: int, cdf_kind: str = volume.EMPIRICAL,
             chains: int = volume.DEFAULT_CHAINS) -> Pipeline:
     poly = build_polytope(m)
     model, dropped = normalize_rewards(m, poly)
-    chart = volume.affine_hull(poly)
-    cloud = volume.sample_uniform(poly, chart, samples, seed,
+    cloud = volume.sample_uniform(poly, volume.affine_hull(poly), samples, seed,
                                   burn_in=burn_in, thinning=thinning, chains=chains)
     cdfs = tuple(
         volume.estimate_cdf(cloud, model.rewards[i], kind=cdf_kind, agent=i)
         for i in range(model.num_agents)
     )
     return Pipeline(model=model, dropped_agents=tuple(dropped),
-                    poly=poly, chart=chart, cloud=cloud, cdfs=cdfs)
+                    poly=poly, cloud=cloud, cdfs=cdfs)
 
 
 RULE_NAMES = (
@@ -429,12 +427,13 @@ def load_metrics_json(text: str) -> list[MetricsRow]:
 
 
 def write_experiment(spec: ExperimentSpec, out_dir) -> ExperimentOutput:
-    """Run an experiment and write ``results.csv`` and ``results.json``."""
+    """Make ``out_dir`` (before any walk), run an experiment and write
+    ``results.csv`` and ``results.json`` there."""
     import pathlib
 
-    out = run_experiment(spec)
     path = pathlib.Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
+    out = run_experiment(spec)
     (path / "results.csv").write_text(out.csv_text)
     (path / "results.json").write_text(out.json_text)
     return out

@@ -3,7 +3,9 @@
 Provides plain LP solves with extra halfspace rows, utilitarian (Pareto)
 completion, iterative leximin, and mixed binary programs whose binaries gate
 linear rows over the occupancy variables, solved by HiGHS branch-and-cut
-(with an exhaustive enumeration oracle for cross-checks).
+(with an exhaustive enumeration oracle for cross-checks).  A MILP decides
+only its binaries: its result carries the assignment and score but no point,
+and the rules complete the assignment with one welfare LP.
 
 Extra halfspaces come as one block ``(a, b)`` meaning ``a @ d <= b`` row by
 row.  Every solve over a polytope is posed by
@@ -232,19 +234,18 @@ def _relaxation_system(p: MilpProgram):
 
 
 def milp_solve(p: MilpProgram) -> Solution:
-    """Globally optimal solve by HiGHS branch-and-cut.
+    """Globally optimal binaries by HiGHS branch-and-cut.
 
     One MILP over ``[d ; z]`` with z binary, posed by the polytope's
-    ``program`` with the activation rows and then the cuts as its block;
-    then one LP over the same rows with the binaries pinned to the rounded
-    assignment.  The point and objective come from that LP, so activation
-    rows hold to LP tolerance rather than to the MILP's integrality
-    tolerance.  Deterministic: HiGHS runs with fixed options.
-    Reports ITERATION_LIMIT when HiGHS reaches ``NODE_LIMIT`` nodes.
+    ``program`` with the activation rows and then the cuts as its block.
+    Returns the rounded assignment, its exact score ``weights @ z`` (as
+    :func:`enumerate_milp` scores it) and the node count, but no point: the
+    MILP's d is one arbitrary point of the assignment's region, so a caller
+    completes the assignment itself.  Deterministic: HiGHS runs with fixed
+    options.  Reports ITERATION_LIMIT when HiGHS reaches ``NODE_LIMIT`` nodes.
     """
     nd, nz = p.base.dim, p.weights.size
-    c, a_ub, b_ub, a_eq, b_eq, bounds = _relaxation_system(p)
-    res = _solver.milp(c, a_ub, b_ub, a_eq, b_eq, bounds,
+    res = _solver.milp(*_relaxation_system(p),
                        integrality=np.concatenate([np.zeros(nd), np.ones(nz)]),
                        node_limit=NODE_LIMIT)
     nodes = int(res.mip_node_count or 1)  # None or 0 when presolve alone solves it
@@ -253,21 +254,17 @@ def milp_solve(p: MilpProgram) -> Solution:
     if res.status == _solver.ITERATION_LIMIT:
         return Solution(status=SolveStatus.ITERATION_LIMIT, nodes=nodes)
     z = np.round(res.x[nd:])
-    bounds[nd:] = z[:, None]
-    fixed = _solver.lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
-    if fixed.status != _solver.OPTIMAL:
-        raise LpFailure("MILP assignment is infeasible once its binaries are pinned")
     return Solution(
         status=SolveStatus.OPTIMAL,
-        point=_measure_from_vector(fixed.x[:nd], p.base),
-        objective_value=float(-fixed.fun),
+        objective_value=float(p.weights @ z),
         binary_assignment=tuple(int(v) for v in z),
         nodes=nodes,
     )
 
 
 def enumerate_milp(p: MilpProgram) -> Solution:
-    """Exhaustive oracle: check every binary assignment with one LP each.
+    """Exhaustive oracle: check every binary assignment with one feasibility
+    LP each, and score the best as :func:`milp_solve` does (no point).
 
     Independent of the HiGHS MILP path of :func:`milp_solve`; intended for
     cross-checking on programs with few binaries.
@@ -275,23 +272,15 @@ def enumerate_milp(p: MilpProgram) -> Solution:
     nz = p.weights.size
     if nz > 20:
         raise ValueError("enumeration oracle limited to 20 binaries")
-    best = None
+    best = Solution(status=SolveStatus.INFEASIBLE)
     for mask in range(2**nz):
         z = np.array([(mask >> j) & 1 for j in range(nz)], dtype=float)
         on = z > 0.5
         rows = (np.vstack([-p.act_coeffs[on], p.cut_d]),
                 np.concatenate([-p.act_lb[on], p.cut_ub - p.cut_z @ z]))
-        sol = solve_lp(p.base, rows, LinearObjective(np.zeros(p.base.dim), MAXIMIZE))
-        if sol.status != SolveStatus.OPTIMAL:
-            continue
         value = float(p.weights @ z)
-        if best is None or value > best.objective_value + BOUND_TOL:
-            best = Solution(
-                status=SolveStatus.OPTIMAL,
-                point=sol.point,
-                objective_value=value,
-                binary_assignment=tuple(int(v) for v in z),
-            )
-    if best is None:
-        return Solution(status=SolveStatus.INFEASIBLE)
+        if feasible(p.base, rows) and (best.status != SolveStatus.OPTIMAL
+                                       or value > best.objective_value + BOUND_TOL):
+            best = Solution(status=SolveStatus.OPTIMAL, objective_value=value,
+                            binary_assignment=tuple(int(v) for v in z))
     return best

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _solver, lp, volume
-from .errors import ConcaveRegionEmpty, LpFailure, MilpBudgetExhausted
+from .errors import ConcaveRegionEmpty, InfeasibleBounds, LpFailure, MilpBudgetExhausted
 from .mdp import Momdp, OccupancyMeasure, OccupancyPolytope, Policy, occupancy_to_policy
 from .volume import ReturnCdf, SampleCloud
 
@@ -107,6 +107,26 @@ class _Stopwatch:
             samples_used=self.samples_used,
             wall_time=time.perf_counter() - self.t0,
         )
+
+
+def _optimal_assignment(program: lp.MilpProgram, name: str) -> lp.Solution:
+    """Solve an indicator MILP; raise on its node limit or a failed solve."""
+    sol = lp.milp_solve(program)
+    if sol.status == lp.SolveStatus.ITERATION_LIMIT:
+        raise MilpBudgetExhausted(f"{name} MILP reached the node limit")
+    if sol.status != lp.SolveStatus.OPTIMAL:
+        raise LpFailure(f"{name} MILP did not solve")
+    return sol
+
+
+def _complete_assignment(poly: OccupancyPolytope, floors, rewards) -> OccupancyMeasure:
+    """Welfare-complete over the return floors an optimal MILP assignment
+    certifies.  The MILP met them, so an empty region is a solver fault
+    (:class:`LpFailure`), not infeasible input."""
+    try:
+        return lp.pareto_complete(poly, floors, rewards)
+    except InfeasibleBounds as exc:
+        raise LpFailure("MILP assignment is infeasible once completed") from exc
 
 
 def _finish(m: Momdp, d: OccupancyMeasure, certificate, watch: _Stopwatch) -> RuleResult:
@@ -214,7 +234,7 @@ def max_quantile(
     """
     if epsilon <= 0 or epsilon > 0.5:
         raise ValueError("epsilon must lie in (0, 0.5]")
-    watch = _Stopwatch()
+    watch = _Stopwatch(samples_used=cdfs[0].samples.size)
     rewards = m.reward_vectors()
     grid = int(round(1.0 / epsilon))
 
@@ -281,23 +301,14 @@ def alpha_approval(
     Solves the indicator MILP ``max sum_i a_i`` with rows
     ``a_i * F_i^{-1}(alpha) <= <R_i, d>`` exactly (no big-M: the row is
     vacuous at a_i = 0 because normalized returns are nonnegative), then
-    welfare-completes while preserving the winning approval set.  Plurality
-    is alpha = 1, whose threshold is 1 - 1e-6 to absorb LP slack.
+    welfare-completes with floor F_i^{-1}(alpha) on the approving agents.
+    Plurality is alpha = 1, whose threshold is 1 - 1e-6 to absorb LP slack.
     """
-    watch = _Stopwatch()
-    rewards = m.reward_vectors()
-    n = m.num_agents
+    watch = _Stopwatch(samples_used=cdfs[0].samples.size if cdfs and alpha < 1.0 else 0)
     program, tau = approval_program(m, poly, cdfs, alpha)
-    sol = lp.milp_solve(program)
-    if sol.status == lp.SolveStatus.ITERATION_LIMIT:
-        raise MilpBudgetExhausted("approval MILP reached the node limit")
-    if sol.status != lp.SolveStatus.OPTIMAL:
-        raise LpFailure("approval MILP did not solve")
-    approving = tuple(i for i, z in enumerate(sol.binary_assignment) if z)
-    bounds = np.zeros(n)
-    for i in approving:
-        bounds[i] = tau[i]
-    point = lp.pareto_complete(poly, bounds, rewards)
+    z = _optimal_assignment(program, "approval").binary_assignment
+    approving = tuple(i for i, on in enumerate(z) if on)
+    point = _complete_assignment(poly, np.where(z, tau, 0.0), m.reward_vectors())
     cert = ApprovalCertificate(
         alpha=alpha,
         approving_agents=approving,
@@ -324,8 +335,9 @@ def borda_milp(
     k*eps; the objective weights each indicator by the cdf increment
     F_i(k eps) - F_i((k-1) eps), so the optimum attains at least the best
     Borda score among eps-rounded return vectors.  Redundant monotone rows
-    a_{i,k+1} <= a_{i,k} tighten the relaxation.  The final point is
-    welfare-completed with bounds at the achieved returns.
+    a_{i,k+1} <= a_{i,k} tighten the relaxation.  With them an assignment
+    with L_i active levels admits exactly the points with <R_i, d> >= L_i eps,
+    and the outcome is the welfare-maximal one: a function of the assignment.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
@@ -333,7 +345,7 @@ def borda_milp(
     if abs(levels - round(levels)) > 1e-9:
         raise ValueError("1/epsilon must be an integer")
     k_max = int(round(levels))
-    watch = _Stopwatch()
+    watch = _Stopwatch(samples_used=cdfs[0].samples.size)
     rewards = m.reward_vectors()
     n = m.num_agents
 
@@ -354,15 +366,11 @@ def borda_milp(
                          np.kron(np.eye(n), np.full((1, k_max), epsilon))]),
         cut_ub=np.zeros(n * k_max),
     )
-    sol = lp.milp_solve(program)
-    if sol.status == lp.SolveStatus.ITERATION_LIMIT:
-        raise MilpBudgetExhausted("Borda MILP reached the node limit")
-    if sol.status != lp.SolveStatus.OPTIMAL:
-        raise LpFailure("Borda MILP did not solve")
-    achieved = rewards @ sol.point.flat
-    point = lp.pareto_complete(poly, achieved - COMPLETION_RELAX, rewards)
+    sol = _optimal_assignment(program, "Borda")
     z = sol.binary_assignment
     indicators = tuple(z[i * k_max:(i + 1) * k_max] for i in range(n))
+    active = np.array([sum(row) for row in indicators])
+    point = _complete_assignment(poly, epsilon * active - COMPLETION_RELAX, rewards)
     cert = BordaCertificate(
         epsilon=epsilon,
         level_indicators=indicators,
@@ -385,7 +393,7 @@ def borda_concave(
     Raises :class:`ConcaveRegionEmpty` when no policy clears every mode
     (callers should fall back to the MILP variant).
     """
-    watch = _Stopwatch()
+    watch = _Stopwatch(samples_used=cdfs[0].samples.size)
     rewards = m.reward_vectors()
     n = m.num_agents
     modes = np.array([volume.mode_estimate(cdf) for cdf in cdfs])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import polyagg as pa
+from polyagg import harness
 from polyagg.cli import main
 
 
@@ -140,6 +141,25 @@ class TestAggregate:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
 
+    @pytest.mark.parametrize("out, cloud, error", [
+        ("u", "nodir/c.csv", "FileNotFoundError"),  # a file in a missing directory
+        ("file/u", "c.csv", "NotADirectoryError"),  # a directory under a file
+    ])
+    def test_bad_output_path_fails_before_the_walk(self, tmp_path, capsys, monkeypatch,
+                                                   out, cloud, error):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("prepare ran before the output paths were checked")
+
+        monkeypatch.setattr(harness, "prepare", no_walk)
+        momdp = tmp_path / "m.json"
+        run_cli("gen", "simplex", "--actions", 2, "--out", momdp)
+        (tmp_path / "file").write_text("")
+        code = run_cli("aggregate", "--momdp", momdp, "--rule", "utilitarian",
+                       "--seed", 1, "--samples", 500, "--out", tmp_path / out,
+                       "--save-cloud", tmp_path / cloud)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}: ")
+
     def test_budget_exit_code(self, tmp_path, monkeypatch):
         import polyagg.harness as harness_mod
 
@@ -191,6 +211,24 @@ class TestExperiment:
         code = run_cli("experiment", "--spec", spec_path, "--out", blocker / "r")
         assert code == 2
         assert capsys.readouterr().err.startswith("error: NotADirectoryError: ")
+
+    @pytest.mark.parametrize("out, error", [
+        (("file",), "FileExistsError"), (("file", "r"), "NotADirectoryError")])
+    def test_bad_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                          out, error):
+        def no_run(spec):
+            raise AssertionError("the experiment ran before --out was made")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "source": {"generator": "simplex", "params": {"actions": 2}},
+            "rules": [{"name": "utilitarian"}], "seed": 1, "samples": 500,
+        }))
+        (tmp_path / "file").write_text("")
+        code = run_cli("experiment", "--spec", spec_path, "--out", tmp_path.joinpath(*out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}: ")
 
     def test_spec_missing_key_exit_code(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -128,7 +128,7 @@ class TestLinprogReference:
     ``linprog`` and ``milp`` under the same options."""
 
     @pytest.mark.parametrize("solve", [
-        "constructor", "pareto_complete", "max_quantile", "milp_pinned_lp", "borda_concave"])
+        "constructor", "pareto_complete", "max_quantile", "borda_concave"])
     def test_programs_over_the_polytope(self, solve, random_500_pipe, monkeypatch):
         m, poly, cdfs = random_500_pipe.model, random_500_pipe.poly, list(random_500_pipe.cdfs)
         r = m.reward_vectors()
@@ -136,8 +136,6 @@ class TestLinprogReference:
             "constructor": lambda: build_polytope(m),
             "pareto_complete": lambda: lp.pareto_complete(poly, np.full(r.shape[0], 0.4), r),
             "max_quantile": lambda: rules.max_quantile(m, poly, cdfs),  # feasible probes
-            "milp_pinned_lp": lambda: lp.milp_solve(
-                rules.approval_program(m, poly, cdfs, alpha=0.9)[0]),
             "borda_concave": lambda: rules.borda_concave(m, poly, cdfs),  # hypograph LP
         }[solve]
         calls = recorded_lps(monkeypatch, run)
@@ -384,12 +382,20 @@ class TestMilp:
         assert res.status == _solver.ITERATION_LIMIT
 
     def test_deterministic(self, simplex3):
-        program = self._approval_program(simplex3, [0.5, 0.5, 0.5])
+        thresholds = np.array([0.5, 0.5, 0.5])
+        program = self._approval_program(simplex3, thresholds)
         a = pa.milp_solve(program)
         b = pa.milp_solve(program)
         assert a.binary_assignment == b.binary_assignment
         assert a.objective_value == b.objective_value
-        assert np.array_equal(a.point.flat, b.point.flat)
+        # the MILP decides only its binaries; the completed outcome is a
+        # function of the assignment
+        assert a.point is None and b.point is None
+        r = simplex3.reward_vectors()
+        a_done, b_done = (pa.pareto_complete(program.base,
+                                             np.where(s.binary_assignment, thresholds, 0.0), r)
+                          for s in (a, b))
+        assert np.array_equal(a_done.flat, b_done.flat)
 
     def test_binary_rows_respected(self, simplex2):
         # two binaries forced into a monotone chain: z1 <= z0

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -398,3 +400,47 @@ class TestCrossRuleProperties:
         b = harness.run_rule("borda-milp", random_pipe)
         assert np.array_equal(a.occupancy.flat, b.occupancy.flat)
         assert a.certificate.rounded_score == b.certificate.rounded_score
+
+
+class TestMilpCompletion:
+    """An indicator MILP decides only its binaries; each MILP rule completes
+    its assignment once, from the return floors the assignment certifies."""
+
+    @pytest.mark.parametrize("seed", [501, 502, 503])
+    def test_borda_outcome_is_welfare_optimum_of_its_levels(self, seed):
+        pipe = harness.prepare(pa.random_momdp(4, 3, 4, seed=seed), 20_000, seed=7)
+        r = pipe.model.reward_vectors()
+        res = pa.borda_milp(pipe.model, pipe.poly, list(pipe.cdfs), epsilon=0.1)
+        levels = np.array([sum(row) for row in res.certificate.level_indicators])
+        # the rule's floors: eps per active level, less COMPLETION_RELAX (whose
+        # 1e-9 moves welfare by up to ~1e-8 through the floors' duals)
+        best = pa.pareto_complete(pipe.poly, 0.1 * levels - rules.COMPLETION_RELAX, r)
+        assert res.returns.sum() == pytest.approx(float((r @ best.flat).sum()), abs=1e-9)
+
+    @pytest.mark.parametrize("rule, params", [
+        ("approval", {"alpha": 0.9}), ("plurality", {}), ("borda-milp", {})])
+    def test_one_milp_and_one_completion(self, random_pipe, rule, params):
+        res = harness.run_rule(rule, random_pipe, **params)
+        assert res.diagnostics.lp_solves == 2
+
+    @pytest.mark.parametrize("rule", ["plurality", "borda-milp"])
+    def test_infeasible_assignment_is_a_solver_fault(self, simplex2_pipe, monkeypatch, rule):
+        # a MILP "optimum" with every binary on: no policy gives both agents
+        # their top return, so the completion has no point
+        def all_on(c, *args, integrality, node_limit):
+            x = np.asarray(integrality, dtype=float)
+            return SimpleNamespace(status=_solver.OPTIMAL, x=x, fun=float(c @ x),
+                                   mip_node_count=1, mip_gap=0.0)
+
+        monkeypatch.setattr(_solver, "milp", all_on)
+        with pytest.raises(pa.LpFailure):
+            harness.run_rule(rule, simplex2_pipe)
+
+    def test_samples_used_counts_the_cloud_behind_the_cdfs(self, simplex3_pipe):
+        count = simplex3_pipe.cloud.count
+        expected = {"utilitarian": 0, "egalitarian": 0, "plurality": 0,
+                    "veto-core": count, "max-quantile": count, "approval": count,
+                    "borda-milp": count, "borda-concave": count}
+        used = {rule: harness.run_rule(rule, simplex3_pipe).diagnostics.samples_used
+                for rule in expected}
+        assert used == expected

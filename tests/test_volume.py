@@ -147,7 +147,7 @@ class TestSampleUniform:
             warnings.simplefilter("error")
             pipe = harness.prepare(transient_53, 2000, seed=5)
         assert not pipe.cloud.degenerate
-        assert pipe.chart.dim == 8
+        assert pipe.cloud.chart.dim == 8
         assert np.ptp(pipe.cloud.points, axis=0).max() > 0.01
         assert max(pipe.poly.max_violation(x) for x in pipe.cloud.points) <= 1e-9
 
