@@ -263,8 +263,9 @@ def milp_solve(p: MilpProgram) -> Solution:
 
 
 def enumerate_milp(p: MilpProgram) -> Solution:
-    """Exhaustive oracle: check every binary assignment with one feasibility
-    LP each, and score the best as :func:`milp_solve` does (no point).
+    """Exhaustive oracle: check every binary assignment that would beat the
+    best found so far with one feasibility LP, and score the best as
+    :func:`milp_solve` does (no point).
 
     Independent of the HiGHS MILP path of :func:`milp_solve`; intended for
     cross-checking on programs with few binaries.
@@ -275,12 +276,13 @@ def enumerate_milp(p: MilpProgram) -> Solution:
     best = Solution(status=SolveStatus.INFEASIBLE)
     for mask in range(2**nz):
         z = np.array([(mask >> j) & 1 for j in range(nz)], dtype=float)
+        value = float(p.weights @ z)
+        if best.status == SolveStatus.OPTIMAL and value <= best.objective_value + BOUND_TOL:
+            continue   # cannot replace the best: no LP
         on = z > 0.5
         rows = (np.vstack([-p.act_coeffs[on], p.cut_d]),
                 np.concatenate([-p.act_lb[on], p.cut_ub - p.cut_z @ z]))
-        value = float(p.weights @ z)
-        if feasible(p.base, rows) and (best.status != SolveStatus.OPTIMAL
-                                       or value > best.objective_value + BOUND_TOL):
+        if feasible(p.base, rows):
             best = Solution(status=SolveStatus.OPTIMAL, objective_value=value,
                             binary_assignment=tuple(int(v) for v in z))
     return best

@@ -1,10 +1,11 @@
 """Volumetric oracle over the occupancy polytope.
 
 The polytope's equality rows give it zero ambient volume, so all sampling
-happens in intrinsic coordinates on its affine hull: an orthonormal null-space
-basis of the equality system plus a strictly interior origin.  Volume-fraction
-queries, per-agent return CDFs, quantile inversion, centroid and density-mode
-estimates are all derived from one shared uniform sample cloud.
+happens in intrinsic coordinates on its affine hull: a strictly interior
+origin plus a null-space basis of the equality system whose coordinates are
+offsets of ``dim`` free ambient entries.  Volume-fraction queries, per-agent
+return CDFs, quantile inversion, centroid and density-mode estimates are all
+derived from one shared uniform sample cloud.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import qr
 from scipy.linalg.blas import dger
 from scipy.optimize import least_squares
 
@@ -35,17 +37,23 @@ MODE_BINS = 100           # histogram bins of mode_estimate
 
 @dataclass(frozen=True, eq=False)
 class HullChart:
-    """Affine-hull parametrization x = origin + basis @ y, y in R^dim."""
+    """Affine-hull parametrization x = origin + basis @ y, y in R^dim.
 
-    basis: np.ndarray   # (ambient, dim), orthonormal columns
+    ``basis[free]`` is the identity, so coordinate k is the offset of ambient
+    entry ``free[k]`` from the origin, and a point of the hull reads its
+    coordinates off those entries.
+    """
+
+    basis: np.ndarray   # (ambient, dim)
     origin: np.ndarray  # strictly interior ambient point
     dim: int
+    free: np.ndarray    # (dim,) ambient indices with basis[free] = I
 
     def to_ambient(self, y: np.ndarray) -> np.ndarray:
         return np.asarray(y, dtype=float) @ self.basis.T + self.origin
 
     def to_intrinsic(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.origin) @ self.basis
+        return (np.asarray(x, dtype=float) - self.origin)[..., self.free]
 
 
 @dataclass(frozen=True)
@@ -181,13 +189,19 @@ def _seal(a: np.ndarray) -> np.ndarray:
 def affine_hull(poly: OccupancyPolytope) -> HullChart:
     """Chart the polytope's affine hull.
 
-    The basis is the orthonormal null space of the equality rows (SVD,
+    The hull is found on the null space of the equality rows (SVD,
     standard rank tolerance); the origin maximizes the minimum inequality
     slack (a Chebyshev-center LP in intrinsic coordinates).  A radius of
     about 0 means the polytope is flat against some inequalities: the rows
     with a positive dual in that LP are tight over the whole polytope (see
     :func:`_chebyshev_origin`), so they are promoted to equalities and the
-    chart is rebuilt.  Each round removes at least one dimension.
+    null space is rebuilt.  Each round removes at least one dimension.
+
+    The returned chart is that null space re-based on ``dim`` free ambient
+    entries (:func:`_free_coordinates`): each axis moves one entry and only
+    the entries the equality rows tie to it, so a walk step touches few
+    rows.  An affine change of coordinates has a constant Jacobian, so the
+    uniform law on the hull is the same in either chart.
     """
     a_eq, b_eq = poly.a_eq, poly.b_eq
     basis, origin = _null_space_chart(a_eq, b_eq, poly.dim)
@@ -209,7 +223,24 @@ def affine_hull(poly: OccupancyPolytope) -> HullChart:
         basis = flatter
     if poly.max_violation(origin) > FEAS_TOL:
         raise DegeneratePolytope("chart origin lies outside the polytope")
-    return HullChart(basis=basis, origin=origin, dim=basis.shape[1])
+    basis, free = _free_coordinates(basis)
+    return HullChart(basis=basis, origin=origin, dim=basis.shape[1], free=free)
+
+
+def _free_coordinates(basis):
+    """Re-base a full-rank (ambient, dim) basis on ``dim`` of its rows.
+
+    QR with column pivoting on ``basis.T`` picks a well-conditioned set of
+    rows ``free``; the new basis is ``basis @ inv(basis[free])``, whose
+    ``free`` rows are set to exactly the identity.  Returns the basis and
+    ``free`` in increasing order.
+    """
+    dim = basis.shape[1]
+    _, pivots = qr(basis.T, mode="r", pivoting=True)
+    free = np.sort(pivots[:dim])
+    rebased = basis @ np.linalg.inv(basis[free])
+    rebased[free] = np.eye(dim)
+    return rebased, free
 
 
 def _null_space_chart(a_eq, b_eq, dim):
@@ -616,7 +647,8 @@ def load_cloud(path) -> SampleCloud:
         raise ValueError(f"cloud file {path} holds a value that is not finite")
     return SampleCloud(
         coords=_seal(pts),
-        chart=HullChart(basis=np.eye(cols), origin=np.zeros(cols), dim=cols),
+        chart=HullChart(basis=np.eye(cols), origin=np.zeros(cols), dim=cols,
+                        free=np.arange(cols)),
         seed=seed,
         walk_params=params,
         degenerate=degenerate,

@@ -18,10 +18,13 @@ SAMPLES = 20_000
 
 class TestAffineHull:
     def test_simplex3_chart(self, simplex3):
-        chart = pa.affine_hull(build_polytope(simplex3))
+        poly = build_polytope(simplex3)
+        chart = pa.affine_hull(poly)
         assert chart.dim == 2
         assert np.allclose(chart.origin, 1 / 3)
-        assert np.allclose(chart.basis.T @ chart.basis, np.eye(2), atol=1e-12)
+        assert np.max(np.abs(poly.a_eq @ chart.basis)) <= 1e-12
+        assert np.array_equal(chart.basis[chart.free], np.eye(2))
+        assert np.linalg.matrix_rank(chart.basis) == 2
 
     def test_two_cycle_dim_zero(self, two_cycle):
         chart = pa.affine_hull(build_polytope(two_cycle))
@@ -240,6 +243,22 @@ def reference_walk(poly, chart, count, seed, burn_in, thinning,
     return flat @ chart.basis.T + chart.origin
 
 
+CHART_MODELS = ["warehouse", "simplex", "transient", "box"]
+
+
+def chart_model(name, transient_53):
+    """The polytope of one named test model (``transient`` is the fixture's)."""
+    return {
+        "warehouse": lambda: build_polytope(
+            pa.gen_warehouse(pa.WarehouseParams(3, 4, seed=2000))),
+        "simplex": lambda: build_polytope(pa.gen_simplex_instance(4)),
+        "transient": lambda: build_polytope(transient_53),
+        "box": lambda: unit_box(3),
+        "max2sat": lambda: build_polytope(
+            pa.gen_from_max2sat(pa.random_2cnf(6, 5, seed=0))),
+    }[name]()
+
+
 class TestReferenceWalk:
     """sample_uniform equals the plain step loop bit for bit.
 
@@ -256,15 +275,7 @@ class TestReferenceWalk:
         ("max2sat", 2_000, None, None),    # dim 6: 6,192 steps
     ])
     def test_matches_reference_walk(self, name, count, burn_in, thinning, transient_53):
-        poly = {
-            "warehouse": lambda: build_polytope(
-                pa.gen_warehouse(pa.WarehouseParams(3, 4, seed=2000))),
-            "simplex": lambda: build_polytope(pa.gen_simplex_instance(4)),
-            "transient": lambda: build_polytope(transient_53),
-            "box": lambda: unit_box(3),
-            "max2sat": lambda: build_polytope(
-                pa.gen_from_max2sat(pa.random_2cnf(6, 5, seed=0))),
-        }[name]()
+        poly = chart_model(name, transient_53)
         chart = pa.affine_hull(poly)
         cloud = pa.sample_uniform(poly, chart, count, seed=11,
                                   burn_in=burn_in, thinning=thinning)
@@ -279,23 +290,44 @@ class TestReferenceWalk:
 def identity_cloud(pts):
     """A hand-built cloud whose coordinates are its (count, n) points."""
     n = pts.shape[1]
+    chart = volume.HullChart(basis=np.eye(n), origin=np.zeros(n), dim=n, free=np.arange(n))
     return volume.SampleCloud(
-        coords=pts, chart=volume.HullChart(basis=np.eye(n), origin=np.zeros(n), dim=n),
+        coords=pts, chart=chart,
         seed=0, walk_params=volume.WalkParams(burn_in=0, thinning=1, count=len(pts)))
 
 
 class TestChartCoordinates:
-    """A cloud's returns read through its chart match its ambient points."""
+    """Chart coordinates are offsets of free ambient entries, and a cloud's
+    returns read through its chart match its ambient points."""
 
-    @pytest.mark.parametrize("name", ["warehouse", "simplex", "transient", "box"])
+    @pytest.mark.parametrize("name", CHART_MODELS)
+    def test_chart_on_free_entries(self, name, transient_53):
+        # the basis spans the equality rows' null space with the identity on
+        # its free rows, so an axis moves its own entry and at most every
+        # entry that is not free
+        poly = chart_model(name, transient_53)
+        chart = pa.affine_hull(poly)
+        ambient, dim = chart.basis.shape
+        assert dim == chart.dim and chart.free.shape == (dim,)
+        assert np.max(np.abs(poly.a_eq @ chart.basis), initial=0.0) <= 1e-12
+        assert np.array_equal(chart.basis[chart.free], np.eye(dim))
+        assert np.linalg.matrix_rank(chart.basis) == dim
+        moved = np.sum(np.abs(chart.basis) > volume.AXIS_ZERO_TOL, axis=0)
+        assert moved.max() <= ambient - dim + 1
+
+    @pytest.mark.parametrize("name", CHART_MODELS)
+    def test_coords_are_free_entry_offsets(self, name, transient_53):
+        poly = chart_model(name, transient_53)
+        chart = pa.affine_hull(poly)
+        cloud = pa.sample_uniform(poly, chart, 3000, seed=12)
+        free, origin = chart.free, chart.origin
+        assert np.max(np.abs(cloud.coords - (cloud.points[:, free] - origin[free]))) <= 1e-12
+        y = np.random.default_rng(3).standard_normal((20, chart.dim))
+        assert np.max(np.abs(chart.to_intrinsic(chart.to_ambient(y)) - y)) <= 1e-12
+
+    @pytest.mark.parametrize("name", CHART_MODELS)
     def test_returns_match_points(self, name, transient_53):
-        poly = {
-            "warehouse": lambda: build_polytope(
-                pa.gen_warehouse(pa.WarehouseParams(3, 4, seed=2000))),
-            "simplex": lambda: build_polytope(pa.gen_simplex_instance(4)),
-            "transient": lambda: build_polytope(transient_53),
-            "box": lambda: unit_box(3),
-        }[name]()
+        poly = chart_model(name, transient_53)
         chart = pa.affine_hull(poly)
         cloud = pa.sample_uniform(poly, chart, 3000, seed=12)
         assert cloud.coords.shape == (3000, chart.dim)
