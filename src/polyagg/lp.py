@@ -1,8 +1,8 @@
 """Linear programming over the occupancy polytope.
 
 Provides plain LP solves with extra halfspace rows, utilitarian (Pareto)
-completion, iterative leximin, and mixed binary programs whose binaries gate
-linear rows over the occupancy variables, solved by HiGHS branch-and-cut
+completion, iterative leximin, and mixed binary programs whose rows tie
+binaries to the occupancy variables, solved by HiGHS branch-and-cut
 (with an exhaustive enumeration oracle for cross-checks).  A MILP decides
 only its binaries: its result carries the assignment and score but no point,
 and the rules complete the assignment with one welfare LP.
@@ -57,39 +57,31 @@ class LinearObjective:
 
 @dataclass(frozen=True, eq=False)
 class MilpProgram:
-    """Maximize ``weights @ z`` over ``d`` in the polytope and binary ``z``.
+    """Maximize ``weights @ z`` over ``d`` in the polytope and binary ``z``
+    subject to the block ``rows = (a, b)``: ``a @ [d ; z] <= b`` row by row.
 
-    Binary j on means ``act_coeffs[j] @ d >= act_lb[j]``.  The off state
-    must be vacuous (``act_coeffs[j] @ d >= 0`` has to hold everywhere),
-    which is the case for normalized reward rows; this keeps the encoding
-    linear without big-M constants.  The optional rows
-    ``cut_d @ d + cut_z @ z <= cut_ub`` must be valid cuts - satisfied by
-    every intended integer solution - never part of the model's meaning.
+    The block follows :meth:`~polyagg.mdp.OccupancyPolytope.program`'s
+    convention with the binaries as its extra columns, and its rows are the
+    model: approval's ``tau_i z_i <= <R_i, d>`` ties each binary to its
+    return row, with no big-M constant because normalized returns are
+    nonnegative.
     """
 
     base: OccupancyPolytope
-    weights: np.ndarray      # (nz,)
-    act_coeffs: np.ndarray   # (nz, dim)
-    act_lb: np.ndarray       # (nz,)
-    cut_d: np.ndarray | None = None   # (rows, dim)
-    cut_z: np.ndarray | None = None   # (rows, nz)
-    cut_ub: np.ndarray | None = None  # (rows,)
+    weights: np.ndarray                   # (nz,)
+    rows: tuple[np.ndarray, np.ndarray]   # (rows, dim + nz) and (rows,)
 
     def __post_init__(self):
-        nz, nd = np.size(self.weights), self.base.dim
-        if nz > MAX_BINARIES:
+        weights = np.asarray(self.weights, dtype=float).reshape(-1)
+        if weights.size > MAX_BINARIES:
             raise ValueError(f"binary count exceeds the cap of {MAX_BINARIES}")
-        shapes = {"weights": (nz,), "act_coeffs": (nz, nd), "act_lb": (nz,),
-                  "cut_d": (-1, nd), "cut_z": (-1, nz), "cut_ub": (-1,)}
-        for name, shape in shapes.items():
-            value = getattr(self, name)
-            if value is None:  # no cuts
-                value = np.zeros(tuple(max(k, 0) for k in shape))
-            else:
-                value = np.asarray(value, dtype=float).reshape(shape)
-            object.__setattr__(self, name, value)
-        if not self.cut_d.shape[0] == self.cut_z.shape[0] == self.cut_ub.shape[0]:
-            raise ValueError("cut_d, cut_z and cut_ub must have one row each per cut")
+        a, b = self.rows
+        a = np.asarray(a, dtype=float).reshape(-1, self.base.dim + weights.size)
+        b = np.asarray(b, dtype=float).reshape(-1)
+        if a.shape[0] != b.shape[0]:
+            raise ValueError("rows need one bound per row")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "rows", (a, b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,12 +214,8 @@ def _max_floor(poly, r, unfixed, fixed) -> tuple[float, np.ndarray]:
 
 def _relaxation_system(p: MilpProgram):
     """The MILP's LP relaxation ``(c, a_ub, b_ub, a_eq, b_eq, bounds)`` over
-    ``[d ; z]``, with ``0 <= z <= 1``."""
-    nz = p.weights.size
-    activation = np.hstack([-p.act_coeffs, np.diag(p.act_lb)])  # lb_j z_j <= a_j @ d
-    rows = (np.vstack([activation, np.hstack([p.cut_d, p.cut_z])]),
-            np.concatenate([np.zeros(nz), p.cut_ub]))
-    a_ub, b_ub, a_eq, b_eq, bounds = p.base.program(rows, nz)
+    ``[d ; z]``: the polytope's ``program`` with the block and ``0 <= z <= 1``."""
+    a_ub, b_ub, a_eq, b_eq, bounds = p.base.program(p.rows, p.weights.size)
     bounds[p.base.dim:] = (0.0, 1.0)
     c = np.concatenate([np.zeros(p.base.dim), -p.weights])
     return c, a_ub, b_ub, a_eq, b_eq, bounds
@@ -236,8 +224,8 @@ def _relaxation_system(p: MilpProgram):
 def milp_solve(p: MilpProgram) -> Solution:
     """Globally optimal binaries by HiGHS branch-and-cut.
 
-    One MILP over ``[d ; z]`` with z binary, posed by the polytope's
-    ``program`` with the activation rows and then the cuts as its block.
+    One MILP over ``[d ; z]`` with z binary: the polytope's ``program``
+    with ``p.rows`` as its block and the binaries as its extra columns.
     Returns the rounded assignment, its exact score ``weights @ z`` (as
     :func:`enumerate_milp` scores it) and the node count, but no point: the
     MILP's d is one arbitrary point of the assignment's region, so a caller
@@ -265,24 +253,23 @@ def milp_solve(p: MilpProgram) -> Solution:
 def enumerate_milp(p: MilpProgram) -> Solution:
     """Exhaustive oracle: check every binary assignment that would beat the
     best found so far with one feasibility LP, and score the best as
-    :func:`milp_solve` does (no point).
+    :func:`milp_solve` does (no point).  With z fixed the block is
+    ``(a[:, :dim], b - a[:, dim:] @ z)`` over d alone.
 
     Independent of the HiGHS MILP path of :func:`milp_solve`; intended for
     cross-checking on programs with few binaries.
     """
-    nz = p.weights.size
+    nz, nd = p.weights.size, p.base.dim
     if nz > 20:
         raise ValueError("enumeration oracle limited to 20 binaries")
+    a, b = p.rows
     best = Solution(status=SolveStatus.INFEASIBLE)
     for mask in range(2**nz):
         z = np.array([(mask >> j) & 1 for j in range(nz)], dtype=float)
         value = float(p.weights @ z)
         if best.status == SolveStatus.OPTIMAL and value <= best.objective_value + BOUND_TOL:
             continue   # cannot replace the best: no LP
-        on = z > 0.5
-        rows = (np.vstack([-p.act_coeffs[on], p.cut_d]),
-                np.concatenate([-p.act_lb[on], p.cut_ub - p.cut_z @ z]))
-        if feasible(p.base, rows):
+        if feasible(p.base, (a[:, :nd], b - a[:, nd:] @ z)):
             best = Solution(status=SolveStatus.OPTIMAL, objective_value=value,
                             binary_assignment=tuple(int(v) for v in z))
     return best

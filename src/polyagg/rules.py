@@ -285,9 +285,8 @@ def approval_program(
         if cdfs is None:
             raise ValueError("alpha < 1 needs per-agent return CDFs")
         tau = np.array([volume.quantile_inverse(cdfs[i], alpha) for i in range(n)])
-    program = lp.MilpProgram(base=poly, weights=np.ones(n), act_coeffs=rewards,
-                             act_lb=tau)
-    return program, tau
+    rows = (np.hstack([-rewards, np.diag(tau)]), np.zeros(n))  # tau_i z_i <= <R_i, d>
+    return lp.MilpProgram(base=poly, weights=np.ones(n), rows=rows), tau
 
 
 def alpha_approval(
@@ -332,12 +331,16 @@ def borda_milp(
     """Approximate Borda winner via level-indicator MILP.
 
     For each agent, 1/eps binaries a_{i,k} mark the eps-rounded return levels
-    k*eps; the objective weights each indicator by the cdf increment
-    F_i(k eps) - F_i((k-1) eps), so the optimum attains at least the best
-    Borda score among eps-rounded return vectors.  Redundant monotone rows
-    a_{i,k+1} <= a_{i,k} tighten the relaxation.  With them an assignment
-    with L_i active levels admits exactly the points with <R_i, d> >= L_i eps,
-    and the outcome is the welfare-maximal one: a function of the assignment.
+    (k + 1) eps; the objective weights each indicator by the cdf increment
+    F_i((k + 1) eps) - F_i(k eps), so the optimum attains at least the best
+    Borda score among eps-rounded return vectors.  The rows are the monotone
+    a_{i,k+1} <= a_{i,k} and per agent the aggregate
+    eps * sum_k a_{i,k} <= <R_i, d>.  They imply each level's own row
+    (k + 1) eps a_{i,k} <= <R_i, d>, even in the LP relaxation: the monotone
+    rows give (k + 1) a_{i,k} <= sum_j a_{i,j}.  So an assignment with L_i
+    active levels admits exactly the points with <R_i, d> >= L_i eps, the
+    relaxation is the step functions' concave envelope, and the outcome is
+    the welfare-maximal point: a function of the assignment.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
@@ -351,21 +354,13 @@ def borda_milp(
 
     grid = np.arange(k_max + 1) * epsilon
     weights = np.diff([cdf.evaluate(grid) for cdf in cdfs], axis=1)  # [agent, level]
-    # binary (i, k) sits at i * k_max + k and means <R_i, d> >= (k + 1) eps;
-    # cuts: monotone rows a_{i,k+1} <= a_{i,k}, then per agent the aggregate
-    # eps * sum_k a_{i,k} <= <R_i, d> (active levels cover at most the return),
-    # which pins the relaxation to the step function's concave envelope
+    # binary (i, k) sits at i * k_max + k; the rows over [d ; a] are the
+    # monotone rows, then the aggregate rows
     monotone = np.eye(k_max - 1, k_max, 1) - np.eye(k_max - 1, k_max)
-    program = lp.MilpProgram(
-        base=poly,
-        weights=weights.ravel(),
-        act_coeffs=np.repeat(rewards, k_max, axis=0),
-        act_lb=np.tile(grid[1:], n),
-        cut_d=np.vstack([np.zeros((n * (k_max - 1), poly.dim)), -rewards]),
-        cut_z=np.vstack([np.kron(np.eye(n), monotone),
-                         np.kron(np.eye(n), np.full((1, k_max), epsilon))]),
-        cut_ub=np.zeros(n * k_max),
-    )
+    rows = (np.block([[np.zeros((n * (k_max - 1), poly.dim)), np.kron(np.eye(n), monotone)],
+                      [-rewards, np.kron(np.eye(n), np.full((1, k_max), epsilon))]]),
+            np.zeros(n * k_max))
+    program = lp.MilpProgram(base=poly, weights=weights.ravel(), rows=rows)
     sol = _optimal_assignment(program, "Borda")
     z = sol.binary_assignment
     indicators = tuple(z[i * k_max:(i + 1) * k_max] for i in range(n))

@@ -191,11 +191,12 @@ def affine_hull(poly: OccupancyPolytope) -> HullChart:
 
     The hull is found on the null space of the equality rows (SVD,
     standard rank tolerance); the origin maximizes the minimum inequality
-    slack (a Chebyshev-center LP in intrinsic coordinates).  A radius of
-    about 0 means the polytope is flat against some inequalities: the rows
-    with a positive dual in that LP are tight over the whole polytope (see
-    :func:`_chebyshev_origin`), so they are promoted to equalities and the
-    null space is rebuilt.  Each round removes at least one dimension.
+    slack on the hull (a Chebyshev-center LP, posed sparse in ambient
+    coordinates).  A radius of about 0 means the polytope is flat against
+    some inequalities: the rows with a positive dual in that LP are tight
+    over the whole polytope (see :func:`_chebyshev_origin`), so they are
+    promoted to equalities and the null space is rebuilt.  Each round
+    removes at least one dimension.
 
     The returned chart is that null space re-based on ``dim`` free ambient
     entries (:func:`_free_coordinates`): each axis moves one entry and only
@@ -206,7 +207,7 @@ def affine_hull(poly: OccupancyPolytope) -> HullChart:
     a_eq, b_eq = poly.a_eq, poly.b_eq
     basis, origin = _null_space_chart(a_eq, b_eq, poly.dim)
     while basis.shape[1] > 0:
-        origin, radius, tight = _chebyshev_origin(poly, basis, origin)
+        origin, radius, tight = _chebyshev_origin(poly, a_eq, b_eq, basis, origin)
         if radius > INTERIOR_TOL:
             break
         if tight.size == 0:
@@ -261,34 +262,47 @@ def _intrinsic_inequalities(poly, basis, origin):
             np.concatenate([poly.b_ub - poly.a_ub @ origin, origin]))
 
 
-def _chebyshev_origin(poly, basis, particular):
-    """Interior point maximizing the minimum slack, in intrinsic coordinates.
+def _chebyshev_origin(poly, a_eq, b_eq, basis, particular):
+    """Interior point of the hull ``a_eq x = b_eq`` maximizing the minimum
+    slack, and the inequality rows tight over the whole polytope.
+
+    The inequality rows ``g_i x <= h_i`` are the ``a_ub`` rows, then the
+    orthant's ``-x_j <= 0``; a row whose restriction ``g_i basis`` to the
+    hull vanishes is left out.  The LP is posed in ambient coordinates,
+    where its rows stay sparse: ``max r`` over ``[x ; r]`` with the equality
+    rows and ``g_i x + |g_i basis| r <= h_i``, x and r free, so that every
+    dual sits on a row.  Its optimum is projected onto the hull through
+    ``particular`` and the orthonormal ``basis``.
 
     Returns the point, the radius r* and the indices of the inequality rows
-    whose dual exceeds ``FEAS_TOL``.  The dual multipliers lambda >= 0 of
-    ``g_i y + |g_i| r <= h_i`` satisfy ``sum lambda_i g_i = 0`` and
-    ``sum lambda_i |g_i| = 1``, so ``sum lambda_i (h_i - g_i y) = r*`` at
-    every feasible y (Farkas).  When r* is about 0, every row with
-    lambda_i > 0 therefore has zero slack over the whole polytope.
+    whose dual exceeds ``FEAS_TOL``.  The multipliers lambda >= 0 of the
+    inequality rows and mu (free) of the equality rows satisfy
+    ``sum lambda_i g_i + mu a_eq = 0``, ``sum lambda_i |g_i basis| = 1`` and
+    ``sum lambda_i h_i + mu b_eq = r*``, so ``sum lambda_i (h_i - g_i x) = r*``
+    at every feasible x, on which ``mu (a_eq x - b_eq)`` vanishes (Farkas).
+    When r* is about 0, every row with lambda_i > 0 therefore has zero slack
+    over the whole polytope.
     """
-    gy, hy = _intrinsic_inequalities(poly, basis, particular)
+    gy, _ = _intrinsic_inequalities(poly, basis, particular)
     norms = np.linalg.norm(gy, axis=1)
     active = np.flatnonzero(norms > 1e-12)
     if active.size == 0:
         return particular, np.inf, active
-    dim = basis.shape[1]
-    a_ub = np.zeros((active.size, dim + 1))
-    a_ub[:, :dim] = gy[active]
-    a_ub[:, dim] = norms[active]
-    c = np.zeros(dim + 1)
-    c[dim] = -1.0
-    res = _solver.lp(c, a_ub=a_ub, b_ub=hy[active])
+    n, m = poly.dim, len(poly.a_ub)
+    ub, j = active[active < m], active[active >= m] - m
+    a_ub = np.zeros((active.size, n + 1))
+    a_ub[:ub.size, :n] = poly.a_ub[ub]
+    a_ub[np.arange(ub.size, active.size), j] = -1.0
+    a_ub[:, n] = norms[active]
+    c = np.zeros(n + 1)
+    c[n] = -1.0
+    res = _solver.lp(c, a_ub=a_ub, b_ub=np.concatenate([poly.b_ub[ub], np.zeros(j.size)]),
+                     a_eq=np.hstack([a_eq, np.zeros((len(a_eq), 1))]), b_eq=b_eq)
     if res.status != _solver.OPTIMAL:
         raise DegeneratePolytope("Chebyshev-center LP failed")
-    y = res.x[:dim]
-    radius = float(res.x[dim])
+    radius = float(res.x[n])
     tight = active[-res.ineqlin.marginals > FEAS_TOL]
-    return particular + basis @ y, radius, tight
+    return particular + basis @ (basis.T @ (res.x[:n] - particular)), radius, tight
 
 
 def sample_uniform(

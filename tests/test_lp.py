@@ -117,6 +117,21 @@ def assert_matches_linprog(args, kwargs):
         assert res.x is None and ref.x is None
 
 
+def borda_program(pipe, epsilon, monkeypatch) -> lp.MilpProgram:
+    """The MILP that ``borda_milp`` poses on a prepared pipeline."""
+    programs = []
+    solve = lp.milp_solve
+
+    def spy(program):
+        programs.append(program)
+        return solve(program)
+
+    monkeypatch.setattr(lp, "milp_solve", spy)
+    rules.borda_milp(pipe.model, pipe.poly, list(pipe.cdfs), epsilon=epsilon)
+    monkeypatch.undo()
+    return programs[0]
+
+
 @pytest.fixture(scope="module")
 def random_500_pipe():
     # borda_concave's mode region is nonempty on this model
@@ -185,24 +200,24 @@ class TestLinprogReference:
         with pytest.raises(pa.LpFailure, match="Unbounded"):
             _solver.lp(*args, **kwargs)
 
-    def test_milp_matches_scipy_milp(self):
-        m = pa.random_momdp(4, 3, 4, seed=500)
-        poly = build_polytope(m)
-        model, _ = pa.normalize_rewards(m, poly)
-        program, _ = rules.approval_program(model, poly, None, alpha=1.0)
-        c, a_ub, b_ub, a_eq, b_eq, bounds = lp._relaxation_system(program)
-        integrality = np.concatenate([np.zeros(poly.dim), np.ones(program.weights.size)])
-        res = _solver.milp(c, a_ub, b_ub, a_eq, b_eq, bounds, integrality=integrality,
-                           node_limit=lp.NODE_LIMIT)
-        ref = milp(c, integrality=integrality, bounds=Bounds(bounds[:, 0], bounds[:, 1]),
-                   constraints=[LinearConstraint(a_ub, -np.inf, b_ub),
-                                LinearConstraint(a_eq, b_eq, b_eq)],
-                   options={"presolve": True, "mip_rel_gap": 0.0, "node_limit": lp.NODE_LIMIT})
-        assert res.status == ref.status == _solver.OPTIMAL
-        assert np.array_equal(res.x, ref.x)
-        assert res.fun == ref.fun
-        assert res.mip_node_count == ref.mip_node_count
-        assert res.mip_gap == ref.mip_gap == 0.0
+    def test_milp_matches_scipy_milp(self, random_500_pipe, monkeypatch):
+        poly = random_500_pipe.poly
+        plurality, _ = rules.approval_program(random_500_pipe.model, poly, None, alpha=1.0)
+        for program in (plurality, borda_program(random_500_pipe, 0.05, monkeypatch)):
+            c, a_ub, b_ub, a_eq, b_eq, bounds = lp._relaxation_system(program)
+            integrality = np.concatenate([np.zeros(poly.dim), np.ones(program.weights.size)])
+            res = _solver.milp(c, a_ub, b_ub, a_eq, b_eq, bounds, integrality=integrality,
+                               node_limit=lp.NODE_LIMIT)
+            ref = milp(c, integrality=integrality, bounds=Bounds(bounds[:, 0], bounds[:, 1]),
+                       constraints=[LinearConstraint(a_ub, -np.inf, b_ub),
+                                    LinearConstraint(a_eq, b_eq, b_eq)],
+                       options={"presolve": True, "mip_rel_gap": 0.0,
+                                "node_limit": lp.NODE_LIMIT})
+            assert res.status == ref.status == _solver.OPTIMAL
+            assert np.array_equal(res.x, ref.x)
+            assert res.fun == ref.fun
+            assert res.mip_node_count == ref.mip_node_count
+            assert res.mip_gap == ref.mip_gap == 0.0
 
 
 class TestParetoComplete:
@@ -336,8 +351,8 @@ class TestMilp:
     def _approval_program(self, momdp, thresholds):
         poly = build_polytope(momdp)
         r = momdp.reward_vectors()
-        return lp.MilpProgram(base=poly, weights=np.ones(r.shape[0]), act_coeffs=r,
-                              act_lb=thresholds)
+        return lp.MilpProgram(base=poly, weights=np.ones(r.shape[0]),
+                              rows=(np.hstack([-r, np.diag(thresholds)]), np.zeros(r.shape[0])))
 
     def test_relaxation_already_integral(self, simplex3):
         # thresholds so weak every agent is satisfiable at once
@@ -362,7 +377,8 @@ class TestMilp:
             r = norm.reward_vectors()
             thresholds = rng.uniform(0.3, 0.9, size=r.shape[0])
             program = lp.MilpProgram(base=poly, weights=np.ones(r.shape[0]),
-                                     act_coeffs=r, act_lb=thresholds)
+                                     rows=(np.hstack([-r, np.diag(thresholds)]),
+                                           np.zeros(r.shape[0])))
             a = pa.milp_solve(program)
             b = lp.enumerate_milp(program)
             assert a.objective_value == pytest.approx(b.objective_value, abs=1e-6)
@@ -401,16 +417,59 @@ class TestMilp:
         # two binaries forced into a monotone chain: z1 <= z0
         poly = build_polytope(simplex2)
         r = simplex2.reward_vectors()
-        chain_row = np.array([-1.0, 1.0])
+        chain_row = np.concatenate([np.zeros(poly.dim), [-1.0, 1.0]])
         program = lp.MilpProgram(
             base=poly,
             weights=[0.1, 1.0],
-            act_coeffs=r[:2],
-            act_lb=[0.9, 0.9],
-            cut_d=np.zeros((1, poly.dim)),
-            cut_z=[chain_row],
-            cut_ub=[0.0],
+            rows=(np.vstack([np.hstack([-r[:2], np.diag([0.9, 0.9])]), chain_row]),
+                  np.zeros(3)),
         )
         sol = pa.milp_solve(program)
         z0, z1 = sol.binary_assignment
         assert z1 <= z0
+
+
+def with_level_rows(program, rewards, epsilon):
+    """The Borda relaxation plus each level's own row
+    ``(k + 1) eps z_{i,k} <= <R_i, d>``, which the program leaves out."""
+    c, a_ub, b_ub, a_eq, b_eq, bounds = lp._relaxation_system(program)
+    n = rewards.shape[0]
+    k_max = program.weights.size // n
+    levels = np.hstack([-np.repeat(rewards, k_max, axis=0),
+                        np.diag(np.tile(epsilon * np.arange(1, k_max + 1), n))])
+    return (c, np.vstack([a_ub, levels]), np.concatenate([b_ub, np.zeros(n * k_max)]),
+            a_eq, b_eq, bounds)
+
+
+class TestBordaProgram:
+    """Borda's MILP poses the monotone and aggregate rows only; they imply
+    every level's own row, in the LP relaxation too."""
+
+    @pytest.fixture(scope="class")
+    def random_pipes(self):
+        return {seed: harness.prepare(pa.random_momdp(4, 3, 4, seed=seed), 4000, seed=7)
+                for seed in range(500, 504)}
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.1])
+    @pytest.mark.parametrize("seed", range(500, 504))
+    def test_relaxation_equals_one_with_level_rows(self, seed, epsilon, random_pipes,
+                                                   monkeypatch):
+        pipe = random_pipes[seed]
+        program = borda_program(pipe, epsilon, monkeypatch)
+        a, _ = program.rows
+        assert a.shape[0] == program.weights.size   # monotone and aggregate rows
+        ours = _solver.lp(*lp._relaxation_system(program))
+        full = _solver.lp(*with_level_rows(program, pipe.model.reward_vectors(), epsilon))
+        assert ours.status == full.status == _solver.OPTIMAL
+        assert abs(ours.fun - full.fun) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [600, 601, 602])
+    def test_milp_matches_enumeration(self, seed, monkeypatch):
+        # 3 agents at eps 0.25: 12 binaries
+        pipe = harness.prepare(pa.random_momdp(3, 3, 3, seed=seed), 2000, seed=7)
+        program = borda_program(pipe, 0.25, monkeypatch)
+        assert program.weights.size == 12
+        a = pa.milp_solve(program)
+        b = lp.enumerate_milp(program)
+        assert a.status is b.status is pa.SolveStatus.OPTIMAL
+        assert a.objective_value == pytest.approx(b.objective_value, abs=1e-9)

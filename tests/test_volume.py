@@ -48,14 +48,7 @@ class TestAffineHull:
         assert np.max(np.abs(poly.a_eq @ pts.T - poly.b_eq[:, None])) < 1e-9
 
     def test_degenerate_inequality_promoted(self):
-        # triangle squashed flat: x + y <= 0 with x, y >= 0 pins the origin
-        poly = pa.OccupancyPolytope(
-            a_ub=np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
-            b_ub=np.zeros(3),
-            a_eq=np.zeros((0, 2)),
-            b_eq=np.zeros(0),
-        )
-        chart = pa.affine_hull(poly)
+        chart = pa.affine_hull(chart_model("squashed", None))
         assert chart.dim == 0
         assert np.allclose(chart.origin, 0.0, atol=1e-9)
 
@@ -68,10 +61,7 @@ class TestAffineHull:
         assert poly.max_violation(chart.origin) <= 1e-9
 
     def test_pinned_box_coordinate(self):
-        # 0 <= x3 <= 0 flattens the unit cube to a square
-        cube = unit_box(3)
-        box = pa.OccupancyPolytope(a_ub=cube.a_ub, b_ub=np.array([1.0, 1, 0, 0, 0, 0]),
-                                   a_eq=cube.a_eq, b_eq=cube.b_eq)
+        box = chart_model("pinned", None)
         chart = pa.affine_hull(box)
         assert chart.dim == 2
         assert box.max_violation(chart.origin) <= 1e-9
@@ -256,7 +246,57 @@ def chart_model(name, transient_53):
         "box": lambda: unit_box(3),
         "max2sat": lambda: build_polytope(
             pa.gen_from_max2sat(pa.random_2cnf(6, 5, seed=0))),
+        # triangle squashed flat: x + y <= 0 with x, y >= 0 pins the origin
+        "squashed": lambda: pa.OccupancyPolytope(
+            a_ub=np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), b_ub=np.zeros(3),
+            a_eq=np.zeros((0, 2)), b_eq=np.zeros(0)),
+        # 0 <= x3 <= 0 flattens the unit cube to a square
+        "pinned": lambda: pa.OccupancyPolytope(
+            a_ub=unit_box(3).a_ub, b_ub=np.array([1.0, 1, 0, 0, 0, 0]),
+            a_eq=np.zeros((0, 3)), b_eq=np.zeros(0)),
     }[name]()
+
+
+def intrinsic_chebyshev_origin(poly, basis, particular):
+    """The Chebyshev LP as it was posed in intrinsic coordinates:
+    ``max r`` over ``[y ; r]`` with ``g_i basis y + |g_i basis| r <= h_i - g_i particular``."""
+    gy, hy = volume._intrinsic_inequalities(poly, basis, particular)
+    norms = np.linalg.norm(gy, axis=1)
+    active = np.flatnonzero(norms > 1e-12)
+    dim = basis.shape[1]
+    c = np.zeros(dim + 1)
+    c[dim] = -1.0
+    res = _solver.lp(c, a_ub=np.hstack([gy[active], norms[active, None]]), b_ub=hy[active])
+    tight = active[-res.ineqlin.marginals > pa.lp.FEAS_TOL]
+    return particular + basis @ res.x[:dim], float(res.x[dim]), tight
+
+
+class TestChebyshevOrigin:
+    """The ambient Chebyshev LP finds the intrinsic LP's origin, radius and
+    tight rows in every round of ``affine_hull``'s flattening loop."""
+
+    @pytest.mark.parametrize("name", CHART_MODELS + ["squashed", "pinned"])
+    def test_matches_intrinsic_lp(self, name, transient_53, monkeypatch):
+        rounds = []
+        ambient = volume._chebyshev_origin
+
+        def spy(poly, a_eq, b_eq, basis, particular):
+            found = ambient(poly, a_eq, b_eq, basis, particular)
+            rounds.append((found, intrinsic_chebyshev_origin(poly, basis, particular)))
+            return found
+
+        monkeypatch.setattr(volume, "_chebyshev_origin", spy)
+        pa.affine_hull(chart_model(name, transient_53))
+        assert rounds
+        for (origin, radius, tight), (ref_origin, ref_radius, ref_tight) in rounds:
+            assert abs(radius - ref_radius) <= 1e-9
+            assert np.array_equal(tight, ref_tight)
+            # at radius 0 every point of the polytope is optimal, and
+            # affine_hull discards that round's point
+            if radius > volume.INTERIOR_TOL:
+                assert np.max(np.abs(origin - ref_origin)) <= 1e-9
+        if name in ("squashed", "pinned", "transient"):   # the loop promoted rows
+            assert rounds[0][0][1] <= volume.INTERIOR_TOL and rounds[0][0][2].size
 
 
 class TestReferenceWalk:
