@@ -42,6 +42,6 @@ norm, dropped = pa.normalize_rewards(m, poly)
 print("dropped (indifferent) agents:", dropped)
 for i in range(norm.num_agents):
     r = norm.reward_vectors()[i]
-    lo = pa.solve_lp(poly, None, pa.LinearObjective(r, "minimize")).objective_value
-    hi = pa.solve_lp(poly, None, pa.LinearObjective(r, "maximize")).objective_value
+    lo = r @ pa.solve_lp(poly, None, -r).flat
+    hi = r @ pa.solve_lp(poly, None, r).flat
     print(f"agent {i} normalized return range: [{lo:.2e}, {hi:.6f}]")

@@ -49,10 +49,8 @@ from .instances import (
     random_momdp,
 )
 from .lp import (
-    LinearObjective,
     MilpProgram,
-    Solution,
-    SolveStatus,
+    MilpResult,
     leximin,
     milp_solve,
     pareto_complete,

@@ -16,6 +16,10 @@ layer (about 2 ms a call).  The bindings live in scipy's private module
 - :func:`milp`: ``presolve`` on, ``mip_rel_gap`` 0, ``mip_max_nodes``;
 - both: ``output_flag`` and ``log_to_console`` off.
 
+A solve ends OPTIMAL or INFEASIBLE, and a MILP also ITERATION_LIMIT at its
+node limit.  Neither function sets any other limit, so every other HiGHS
+status (unbounded, a numerical failure) raises :class:`LpFailure`.
+
 HiGHS's MIP solver can still ``printf`` a line that neither option reaches
 (``HighsMipSolverData::transformNewIntegerFeasibleSolution
 tmpSolver.run();``), so :func:`milp` points file descriptor 1 at
@@ -56,8 +60,6 @@ _STATUS = {
     HighsModelStatus.kOptimal: OPTIMAL,
     HighsModelStatus.kInfeasible: INFEASIBLE,
     HighsModelStatus.kModelError: INFEASIBLE,
-    HighsModelStatus.kIterationLimit: ITERATION_LIMIT,
-    HighsModelStatus.kTimeLimit: ITERATION_LIMIT,
 }
 _MILP_STATUS = {**_STATUS, HighsModelStatus.kSolutionLimit: ITERATION_LIMIT}  # node limit
 
@@ -159,11 +161,11 @@ def lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(None, None)):
 
     Variables are free by default; ``bounds`` takes linprog's forms (an
     occupancy polytope's ``program`` passes ``x >= 0`` here).  Returns a scipy result
-    with ``status`` (OPTIMAL, ITERATION_LIMIT or INFEASIBLE), ``message``,
-    and at OPTIMAL ``x``, ``fun`` and the inequality rows' duals
-    ``ineqlin.marginals`` (HiGHS's row duals, linprog's sign).  Raises
-    :class:`LpFailure` on unbounded or numerically failed solves, and, as
-    linprog does, on an optimal point off its rows or bounds by more than
+    with ``status`` (OPTIMAL or INFEASIBLE), ``message``, and at OPTIMAL
+    ``x``, ``fun`` and the inequality rows' duals ``ineqlin.marginals``
+    (HiGHS's row duals, linprog's sign).  Raises :class:`LpFailure` on any
+    other HiGHS status (unbounded, a limit reached, numerical failure) and,
+    as linprog does, on an optimal point off its rows or bounds by more than
     ~3e-4; no well-formed polyagg program should produce either.
     """
     global solve_count
@@ -197,9 +199,8 @@ def milp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(None, None), *,
     The relative gap is 0, so an OPTIMAL result is proven optimal.  Returns
     a scipy result with ``status`` one of OPTIMAL, ITERATION_LIMIT
     (``node_limit`` reached) or INFEASIBLE and ``message``; ``x``, ``fun``,
-    ``mip_node_count`` and ``mip_gap`` are set when HiGHS has a feasible
-    point and None otherwise.  Raises :class:`LpFailure` on unbounded or
-    numerically failed solves.
+    ``mip_node_count`` and ``mip_gap`` are set at OPTIMAL and None
+    otherwise.  Raises :class:`LpFailure` on any other HiGHS status.
     """
     global solve_count
     solve_count += 1
@@ -212,9 +213,8 @@ def milp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=(None, None), *,
         raise _failure("MILP", highs, status)
     res = OptimizeResult(status=_MILP_STATUS[status], message=highs.modelStatusToString(status),
                          x=None, fun=None, mip_node_count=None, mip_gap=None)
-    info = highs.getInfo()
-    if res.status == OPTIMAL or (res.status == ITERATION_LIMIT
-                                 and np.isfinite(info.objective_function_value)):
+    if res.status == OPTIMAL:
+        info = highs.getInfo()
         res.x = np.array(highs.getSolution().col_value)
         res.fun = info.objective_function_value
         res.mip_node_count = info.mip_node_count

@@ -6,8 +6,9 @@ Subcommands:
   polyagg experiment --spec FILE.json             run a full comparison
 
 Exit codes: 0 on success, 2 for infeasible or degenerate input, a parameter
-out of range or a JSON file missing a required key or holding a value of
-the wrong shape (a ``ValueError``, such as ``--epsilon 0``), or a file the
+out of range, a parameter the rule does not take, or a JSON file missing a
+required key or holding a value of the wrong shape (a ``ValueError``, such
+as ``--epsilon 0`` or ``--alpha`` on utilitarian), or a file the
 command cannot read or write (an ``OSError``, such as a missing ``--momdp``
 file or a ``--save-cloud`` path in a missing directory), 3 when a solver
 budget was exhausted.  A bad output path fails before any walk.
@@ -121,8 +122,17 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
+    params = {}
+    if args.alpha is not None:
+        params["alpha"] = args.alpha
+    if args.epsilon is not None:
+        params["epsilon"] = args.epsilon
+    if args.veto_order:
+        params["order"] = [int(t) for t in args.veto_order.split(",")]
+    # fail on a parameter the rule does not take or a bad output path
+    # before the walk, not after it
+    harness.check_rule(args.rule, params)
     m = load_momdp(args.momdp)
-    # fail on a bad output path before the walk, not after it
     args.out.mkdir(parents=True, exist_ok=True)
     if args.save_cloud:
         args.save_cloud.open("a").close()
@@ -132,13 +142,6 @@ def _cmd_aggregate(args) -> int:
     )
     if args.save_cloud:
         volume.save_cloud(pipe.cloud, args.save_cloud)
-    params = {}
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.epsilon is not None:
-        params["epsilon"] = args.epsilon
-    if args.veto_order:
-        params["order"] = [int(t) for t in args.veto_order.split(",")]
     result = harness.run_rule(args.rule, pipe, **params)
     norm = result.returns  # normalized: the model's returns span [0, 1]
     gini, nash = harness.welfare_metrics(norm)

@@ -18,7 +18,8 @@ class AllAgentsIndifferent(PolyaggError):
 
 
 class InfeasibleBounds(PolyaggError):
-    """The lower-bounded region for welfare completion is empty."""
+    """The rows a solve adds to the polytope meet nowhere, such as return
+    lower bounds no policy reaches."""
 
 
 class DegeneratePolytope(PolyaggError):
@@ -42,4 +43,5 @@ class ZeroWelfare(PolyaggError):
 
 
 class LpFailure(PolyaggError):
-    """Unexpected LP solver failure (unbounded or numerical trouble)."""
+    """Unexpected solver failure (unbounded, numerical trouble, or any
+    status other than optimal, infeasible or a MILP's node limit)."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -92,20 +91,35 @@ def prepare(m: Momdp, samples: int, seed: int, cdf_kind: str = volume.EMPIRICAL,
                     poly=poly, cloud=cloud, cdfs=cdfs)
 
 
-RULE_NAMES = (
-    "utilitarian",
-    "egalitarian",
-    "veto-core",
-    "max-quantile",
-    "approval",
-    "plurality",
-    "borda-milp",
-    "borda-concave",
-)
+# every registered rule and the parameters it takes
+RULE_PARAMS = {
+    "utilitarian": (),
+    "egalitarian": (),
+    "veto-core": ("epsilon", "order"),
+    "max-quantile": ("epsilon",),
+    "approval": ("alpha",),
+    "plurality": (),
+    "borda-milp": ("epsilon",),
+    "borda-concave": (),
+}
+RULE_NAMES = tuple(RULE_PARAMS)
+
+
+def check_rule(name: str, params) -> None:
+    """Raise :class:`ValueError` unless ``name`` is a registered rule that
+    takes every key of ``params``."""
+    if name not in RULE_PARAMS:
+        raise ValueError(f"unknown rule {name!r}; known: {', '.join(RULE_NAMES)}")
+    unknown = sorted(set(params) - set(RULE_PARAMS[name]))
+    if unknown:
+        raise ValueError(f"rule {name!r} takes no parameter {', '.join(map(repr, unknown))}; "
+                         f"accepted: {', '.join(RULE_PARAMS[name]) or 'none'}")
 
 
 def run_rule(name: str, pipe: Pipeline, **params) -> rules.RuleResult:
-    """Dispatch one registered rule against a prepared pipeline."""
+    """Dispatch one registered rule against a prepared pipeline; an unknown
+    rule or parameter raises :class:`ValueError`."""
+    check_rule(name, params)
     m, poly = pipe.model, pipe.poly
     if name == "utilitarian":
         return rules.utilitarian(m, poly)
@@ -127,9 +141,7 @@ def run_rule(name: str, pipe: Pipeline, **params) -> rules.RuleResult:
     if name == "borda-milp":
         return rules.borda_milp(m, poly, list(pipe.cdfs),
                                 epsilon=params.get("epsilon", 0.05))
-    if name == "borda-concave":
-        return rules.borda_concave(m, poly, list(pipe.cdfs))
-    raise ValueError(f"unknown rule {name!r}; known: {', '.join(RULE_NAMES)}")
+    return rules.borda_concave(m, poly, list(pipe.cdfs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +150,7 @@ class RuleSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in RULE_NAMES:
-            raise ValueError(f"unknown rule {self.name!r}; known: {', '.join(RULE_NAMES)}")
+        check_rule(self.name, self.params)
 
     def label(self) -> str:
         if not self.params:
@@ -273,14 +284,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
             continue
         instance_doc = {"seed": instance_seed, "rules": {}}
         for rule_spec in spec.rules:
-            t0 = time.perf_counter()
             try:
                 result = run_rule(rule_spec.name, pipe, **rule_spec.params)
             except PolyaggError as exc:
                 failures.append({"seed": instance_seed, "stage": rule_spec.label(),
                                  "error": type(exc).__name__, "message": str(exc)})
                 continue
-            elapsed = time.perf_counter() - t0
             norm = result.returns  # normalized: the model's returns span [0, 1]
             g, w = welfare_metrics(norm)
             row = MetricsRow(
@@ -289,7 +298,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
                 returns=tuple(float(v) for v in norm),
                 gini=g,
                 nash=w,
-                runtime=elapsed,
+                runtime=result.diagnostics.wall_time,
             )
             rows.append(row)
             instance_doc["rules"][rule_spec.label()] = result_doc(result, spec.record_runtime)

@@ -7,6 +7,10 @@ binaries to the occupancy variables, solved by HiGHS branch-and-cut
 only its binaries: its result carries the assignment and score but no point,
 and the rules complete the assignment with one welfare LP.
 
+Each solve returns its answer or raises: :class:`InfeasibleBounds` when the
+rows meet nowhere, :class:`MilpBudgetExhausted` when a MILP reaches its node
+limit, and :class:`LpFailure` when the solver itself fails.
+
 Extra halfspaces come as one block ``(a, b)`` meaning ``a @ d <= b`` row by
 row.  Every solve over a polytope is posed by
 :meth:`~polyagg.mdp.OccupancyPolytope.program`: the polytope's rows, then
@@ -17,42 +21,18 @@ ask it for that many extra columns, which it leaves free.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _solver
-from .errors import InfeasibleBounds, LpFailure
+from .errors import InfeasibleBounds, LpFailure, MilpBudgetExhausted
 from .mdp import OccupancyMeasure, OccupancyPolytope
-
-MAXIMIZE = "maximize"
-MINIMIZE = "minimize"
 
 FEAS_TOL = 1e-7
 BOUND_TOL = 1e-9
-NODE_LIMIT = 10**6      # HiGHS branch-and-cut nodes before ITERATION_LIMIT
+NODE_LIMIT = 10**6      # HiGHS branch-and-cut nodes before MilpBudgetExhausted
 MAX_BINARIES = 4096
-
-
-class SolveStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    ITERATION_LIMIT = "iteration_limit"
-
-
-@dataclass(frozen=True, eq=False)
-class LinearObjective:
-    """Objective <coeffs, d> with an explicit optimization sense."""
-
-    coeffs: np.ndarray
-    sense: str = MAXIMIZE
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float).reshape(-1)
-        if self.sense not in (MAXIMIZE, MINIMIZE):
-            raise ValueError(f"unknown sense {self.sense!r}")
-        object.__setattr__(self, "coeffs", c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,29 +65,27 @@ class MilpProgram:
 
 
 @dataclass(frozen=True, eq=False)
-class Solution:
-    status: SolveStatus
-    point: OccupancyMeasure | None = None
-    objective_value: float = float("nan")
-    binary_assignment: tuple[int, ...] | None = None
-    nodes: int = 1
+class MilpResult:
+    """An optimal binary assignment of a :class:`MilpProgram`, its score
+    ``weights @ z`` and the branch-and-cut nodes spent on it."""
+
+    binary_assignment: tuple[int, ...]
+    objective_value: float
+    nodes: int = 0
 
 
-def solve_lp(poly: OccupancyPolytope, rows, obj: LinearObjective) -> Solution:
-    """Optimize a linear objective over the polytope intersected with the
-    halfspaces ``a @ d <= b`` of the block ``rows = (a, b)`` (None for the
-    polytope alone)."""
-    if obj.coeffs.shape[0] != poly.dim:
+def solve_lp(poly: OccupancyPolytope, rows, coeffs) -> OccupancyMeasure:
+    """The point maximizing ``coeffs @ d`` over the polytope intersected with
+    the halfspaces ``a @ d <= b`` of the block ``rows = (a, b)`` (None for
+    the polytope alone).  Raises :class:`InfeasibleBounds` when they meet
+    nowhere."""
+    c = np.asarray(coeffs, dtype=float).reshape(-1)
+    if c.shape[0] != poly.dim:
         raise ValueError("objective length must match the polytope dimension")
-    sign = -1.0 if obj.sense == MAXIMIZE else 1.0
-    res = _solver.lp(sign * obj.coeffs, *poly.program(rows))
+    res = _solver.lp(-c, *poly.program(rows))
     if res.status == _solver.INFEASIBLE:
-        return Solution(status=SolveStatus.INFEASIBLE)
-    if res.status == _solver.ITERATION_LIMIT:
-        return Solution(status=SolveStatus.ITERATION_LIMIT)
-    value = float(sign * res.fun)
-    point = _measure_from_vector(res.x, poly)
-    return Solution(status=SolveStatus.OPTIMAL, point=point, objective_value=value)
+        raise InfeasibleBounds("no policy meets all return lower bounds")
+    return _measure_from_vector(res.x, poly)
 
 
 def _measure_from_vector(x: np.ndarray, poly: OccupancyPolytope) -> OccupancyMeasure:
@@ -129,8 +107,7 @@ def _measure_from_vector(x: np.ndarray, poly: OccupancyPolytope) -> OccupancyMea
 def feasible(poly: OccupancyPolytope, rows) -> bool:
     """Whether the polytope meets the halfspaces of the block ``rows = (a, b)``
     (None for the polytope alone)."""
-    res = _solver.lp(np.zeros(poly.dim), *poly.program(rows))
-    return res.status != _solver.INFEASIBLE
+    return _solver.lp(np.zeros(poly.dim), *poly.program(rows)).status == _solver.OPTIMAL
 
 
 def lower_bound_rows(reward_vectors, bounds):
@@ -150,13 +127,7 @@ def pareto_complete(poly: OccupancyPolytope, lower_bounds, reward_vectors) -> Oc
     point would also satisfy the bounds and improve the welfare objective.
     """
     r = np.atleast_2d(np.asarray(reward_vectors, dtype=float))
-    rows = lower_bound_rows(r, lower_bounds)
-    sol = solve_lp(poly, rows, LinearObjective(r.sum(axis=0), MAXIMIZE))
-    if sol.status == SolveStatus.INFEASIBLE:
-        raise InfeasibleBounds("no policy meets all return lower bounds")
-    if sol.status != SolveStatus.OPTIMAL:
-        raise LpFailure("welfare completion did not reach optimality")
-    return sol.point
+    return solve_lp(poly, lower_bound_rows(r, lower_bounds), r.sum(axis=0))
 
 
 def leximin(poly: OccupancyPolytope, reward_vectors) -> OccupancyMeasure:
@@ -221,7 +192,7 @@ def _relaxation_system(p: MilpProgram):
     return c, a_ub, b_ub, a_eq, b_eq, bounds
 
 
-def milp_solve(p: MilpProgram) -> Solution:
+def milp_solve(p: MilpProgram) -> MilpResult:
     """Globally optimal binaries by HiGHS branch-and-cut.
 
     One MILP over ``[d ; z]`` with z binary: the polytope's ``program``
@@ -230,31 +201,30 @@ def milp_solve(p: MilpProgram) -> Solution:
     :func:`enumerate_milp` scores it) and the node count, but no point: the
     MILP's d is one arbitrary point of the assignment's region, so a caller
     completes the assignment itself.  Deterministic: HiGHS runs with fixed
-    options.  Reports ITERATION_LIMIT when HiGHS reaches ``NODE_LIMIT`` nodes.
+    options.  Raises :class:`MilpBudgetExhausted` when HiGHS reaches
+    ``NODE_LIMIT`` nodes and :class:`InfeasibleBounds` when no assignment
+    fits the rows.
     """
     nd, nz = p.base.dim, p.weights.size
     res = _solver.milp(*_relaxation_system(p),
                        integrality=np.concatenate([np.zeros(nd), np.ones(nz)]),
                        node_limit=NODE_LIMIT)
-    nodes = int(res.mip_node_count or 1)  # None or 0 when presolve alone solves it
-    if res.status == _solver.INFEASIBLE:
-        return Solution(status=SolveStatus.INFEASIBLE, nodes=nodes)
     if res.status == _solver.ITERATION_LIMIT:
-        return Solution(status=SolveStatus.ITERATION_LIMIT, nodes=nodes)
+        raise MilpBudgetExhausted(f"MILP reached the node limit of {NODE_LIMIT}")
+    if res.status == _solver.INFEASIBLE:
+        raise InfeasibleBounds("no binary assignment meets the MILP's rows")
     z = np.round(res.x[nd:])
-    return Solution(
-        status=SolveStatus.OPTIMAL,
-        objective_value=float(p.weights @ z),
-        binary_assignment=tuple(int(v) for v in z),
-        nodes=nodes,
-    )
+    return MilpResult(binary_assignment=tuple(int(v) for v in z),
+                      objective_value=float(p.weights @ z),
+                      nodes=max(int(res.mip_node_count), 1))  # 0 if presolve solves it
 
 
-def enumerate_milp(p: MilpProgram) -> Solution:
+def enumerate_milp(p: MilpProgram) -> MilpResult:
     """Exhaustive oracle: check every binary assignment that would beat the
     best found so far with one feasibility LP, and score the best as
     :func:`milp_solve` does (no point).  With z fixed the block is
-    ``(a[:, :dim], b - a[:, dim:] @ z)`` over d alone.
+    ``(a[:, :dim], b - a[:, dim:] @ z)`` over d alone.  Raises
+    :class:`InfeasibleBounds` when no assignment fits.
 
     Independent of the HiGHS MILP path of :func:`milp_solve`; intended for
     cross-checking on programs with few binaries.
@@ -263,13 +233,14 @@ def enumerate_milp(p: MilpProgram) -> Solution:
     if nz > 20:
         raise ValueError("enumeration oracle limited to 20 binaries")
     a, b = p.rows
-    best = Solution(status=SolveStatus.INFEASIBLE)
+    best = None
     for mask in range(2**nz):
         z = np.array([(mask >> j) & 1 for j in range(nz)], dtype=float)
         value = float(p.weights @ z)
-        if best.status == SolveStatus.OPTIMAL and value <= best.objective_value + BOUND_TOL:
+        if best is not None and value <= best.objective_value + BOUND_TOL:
             continue   # cannot replace the best: no LP
         if feasible(p.base, (a[:, :nd], b - a[:, nd:] @ z)):
-            best = Solution(status=SolveStatus.OPTIMAL, objective_value=value,
-                            binary_assignment=tuple(int(v) for v in z))
+            best = MilpResult(binary_assignment=tuple(int(v) for v in z), objective_value=value)
+    if best is None:
+        raise InfeasibleBounds("no binary assignment meets the MILP's rows")
     return best

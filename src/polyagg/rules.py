@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _solver, lp, volume
-from .errors import ConcaveRegionEmpty, InfeasibleBounds, LpFailure, MilpBudgetExhausted
+from .errors import ConcaveRegionEmpty, InfeasibleBounds, LpFailure
 from .mdp import Momdp, OccupancyMeasure, OccupancyPolytope, Policy, occupancy_to_policy
 from .volume import ReturnCdf, SampleCloud
 
@@ -107,16 +107,6 @@ class _Stopwatch:
             samples_used=self.samples_used,
             wall_time=time.perf_counter() - self.t0,
         )
-
-
-def _optimal_assignment(program: lp.MilpProgram, name: str) -> lp.Solution:
-    """Solve an indicator MILP; raise on its node limit or a failed solve."""
-    sol = lp.milp_solve(program)
-    if sol.status == lp.SolveStatus.ITERATION_LIMIT:
-        raise MilpBudgetExhausted(f"{name} MILP reached the node limit")
-    if sol.status != lp.SolveStatus.OPTIMAL:
-        raise LpFailure(f"{name} MILP did not solve")
-    return sol
 
 
 def _complete_assignment(poly: OccupancyPolytope, floors, rewards) -> OccupancyMeasure:
@@ -305,7 +295,7 @@ def alpha_approval(
     """
     watch = _Stopwatch(samples_used=cdfs[0].samples.size if cdfs and alpha < 1.0 else 0)
     program, tau = approval_program(m, poly, cdfs, alpha)
-    z = _optimal_assignment(program, "approval").binary_assignment
+    z = lp.milp_solve(program).binary_assignment
     approving = tuple(i for i, on in enumerate(z) if on)
     point = _complete_assignment(poly, np.where(z, tau, 0.0), m.reward_vectors())
     cert = ApprovalCertificate(
@@ -361,7 +351,7 @@ def borda_milp(
                       [-rewards, np.kron(np.eye(n), np.full((1, k_max), epsilon))]]),
             np.zeros(n * k_max))
     program = lp.MilpProgram(base=poly, weights=weights.ravel(), rows=rows)
-    sol = _optimal_assignment(program, "Borda")
+    sol = lp.milp_solve(program)
     z = sol.binary_assignment
     indicators = tuple(z[i * k_max:(i + 1) * k_max] for i in range(n))
     active = np.array([sum(row) for row in indicators])

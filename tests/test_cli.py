@@ -102,6 +102,21 @@ class TestAggregate:
         assert err.startswith("error: ValueError: epsilon must lie in (0, 1]")
         assert "Traceback" not in err
 
+    def test_parameter_the_rule_does_not_take_fails_before_the_walk(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("prepare ran before the rule parameters were checked")
+
+        monkeypatch.setattr(harness, "prepare", no_walk)
+        momdp = tmp_path / "m.json"
+        run_cli("gen", "simplex", "--actions", 2, "--out", momdp)
+        code = run_cli("aggregate", "--momdp", momdp, "--rule", "utilitarian",
+                       "--alpha", 0.3, "--seed", 1, "--samples", 500, "--out", tmp_path / "t")
+        assert code == 2
+        assert capsys.readouterr().err == ("error: ValueError: rule 'utilitarian' takes no "
+                                           "parameter 'alpha'; accepted: none\n")
+        assert not (tmp_path / "t").exists()
+
     def test_momdp_missing_key_exit_code(self, tmp_path, capsys):
         doc = json.loads(pa.momdp_to_json(pa.gen_simplex_instance(2)))
         del doc["criterion"]
@@ -239,6 +254,18 @@ class TestExperiment:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: experiment spec lacks the key 'rules'")
+
+    def test_spec_rule_parameter_misspelled_exit_code(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "source": {"generator": "simplex", "params": {"actions": 2}}, "seed": 1,
+            "rules": [{"name": "max-quantile", "eps": 0.2}],
+        }))
+        code = run_cli("experiment", "--spec", spec_path, "--out", tmp_path / "r")
+        assert code == 2
+        assert capsys.readouterr().err == ("error: ValueError: rule 'max-quantile' takes no "
+                                           "parameter 'eps'; accepted: epsilon\n")
+        assert not (tmp_path / "r").exists()
 
     def test_spec_wrong_shape_exit_code(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -174,6 +174,19 @@ class TestRunExperiment:
         assert "runtime" in out.csv_text.splitlines()[0]
         assert "wall_time" in out.json_text
 
+    def test_runtime_is_the_rule_wall_time(self):
+        # one timer per rule run: the CSV runtime is the result's wall_time
+        out = harness.run_experiment(small_spec(record_runtime=True))
+        lines = out.csv_text.splitlines()
+        col = lines[0].split(",").index("runtime")
+        csv_runtimes = [float(line.split(",")[col]) for line in lines[1:]
+                        if line.startswith("row,")]
+        doc = json.loads(out.json_text)
+        wall_times = [doc["results"][j]["rules"][rule]["diagnostics"]["wall_time"]
+                      for j in range(2) for rule in ("utilitarian", "max-quantile")]
+        assert csv_runtimes == wall_times
+        assert [row.runtime for row in out.rows] == wall_times
+
     def test_spec_from_json(self):
         doc = {
             "source": {"generator": "simplex", "params": {"actions": 2}},
@@ -209,6 +222,20 @@ class TestRunExperiment:
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError, match="unknown rule"):
             harness.RuleSpec("best-rule-ever")
+
+    @pytest.mark.parametrize("name, params, accepted", [
+        ("max-quantile", {"eps": 0.2}, "epsilon"),
+        ("utilitarian", {"alpha": 0.3}, "none"),
+        ("approval", {"epsilon": 0.1}, "alpha"),
+        ("veto-core", {"alpha": 0.5, "order": [0, 1]}, "epsilon, order"),
+    ])
+    def test_parameter_the_rule_does_not_take_rejected(self, name, params, accepted):
+        with pytest.raises(ValueError, match=f"; accepted: {accepted}$"):
+            harness.RuleSpec(name, params)
+        doc = {"source": {"generator": "simplex", "params": {"actions": 2}},
+               "rules": [{"name": name, **params}], "seed": 1}
+        with pytest.raises(ValueError, match=f"; accepted: {accepted}$"):
+            harness.ExperimentSpec.from_json(json.dumps(doc))
 
     def test_write_experiment(self, tmp_path):
         out = harness.write_experiment(small_spec(), tmp_path / "exp")

@@ -133,10 +133,7 @@ class TestMisReduction:
         m = pa.gen_from_mis(g)
         poly = build_polytope(m)
         r = m.reward_vectors()
-        best = np.array([
-            pa.solve_lp(poly, None, pa.LinearObjective(r[i], "maximize")).objective_value
-            for i in range(m.num_agents)
-        ])
+        best = np.array([r[i] @ pa.solve_lp(poly, None, r[i]).flat for i in range(m.num_agents)])
         edge_set = set(g.edges)
         for _, d in pa.enumerate_deterministic_policies(m):
             winners = [i for i in range(m.num_agents)
@@ -149,8 +146,7 @@ class TestMisReduction:
         g = pa.Graph(num_vertices=3, edges=((0, 1), (1, 2)))
         m = pa.gen_from_mis(g)
         r = m.reward_vectors()
-        best = {i: pa.solve_lp(build_polytope(m), None, pa.LinearObjective(r[i], "maximize")).objective_value
-                for i in range(3)}
+        best = {i: r[i] @ pa.solve_lp(build_polytope(m), None, r[i]).flat for i in range(3)}
         attained = set()
         for _, d in pa.enumerate_deterministic_policies(m):
             winners = frozenset(
@@ -172,7 +168,7 @@ class TestMax2SatReduction:
         poly = build_polytope(m)
         for i in range(3):
             r = m.reward_vectors()[i]
-            hi = pa.solve_lp(poly, None, pa.LinearObjective(r, "maximize")).objective_value
+            hi = r @ pa.solve_lp(poly, None, r).flat
             assert hi * m.num_states == pytest.approx(2.0, abs=1e-7)
 
     def test_at_most_one_agent_above_three_halves(self):

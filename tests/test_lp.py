@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize._highspy._core import HighsModelStatus
 
 import polyagg as pa
 from polyagg import _solver, harness, lp, rules, volume
@@ -18,33 +19,34 @@ def simplex3_poly(simplex3):
 
 class TestSolveLp:
     def test_total_mass_objective(self, simplex3_poly):
-        sol = pa.solve_lp(simplex3_poly, None, pa.LinearObjective(np.ones(3), "maximize"))
-        assert sol.status is pa.SolveStatus.OPTIMAL
-        assert sol.objective_value == pytest.approx(1.0, abs=1e-7)
+        point = pa.solve_lp(simplex3_poly, None, np.ones(3))
+        assert np.ones(3) @ point.flat == pytest.approx(1.0, abs=1e-7)
 
     def test_vertex_optimum(self, simplex3, simplex3_poly):
         r1 = simplex3.reward_vectors()[0]
-        sol = pa.solve_lp(simplex3_poly, None, pa.LinearObjective(r1, "maximize"))
-        assert sol.objective_value == pytest.approx(1.0, abs=1e-7)
-        assert np.allclose(sol.point.flat, [1.0, 0.0, 0.0], atol=1e-7)
+        point = pa.solve_lp(simplex3_poly, None, r1)
+        assert r1 @ point.flat == pytest.approx(1.0, abs=1e-7)
+        assert np.allclose(point.flat, [1.0, 0.0, 0.0], atol=1e-7)
 
     def test_infeasible_extra_row(self, simplex3, simplex3_poly):
         r1 = simplex3.reward_vectors()[0]
-        sol = pa.solve_lp(simplex3_poly, (-r1[None], [-2.0]), pa.LinearObjective(r1, "maximize"))
-        assert sol.status is pa.SolveStatus.INFEASIBLE
-        assert sol.point is None
+        with pytest.raises(pa.InfeasibleBounds):
+            pa.solve_lp(simplex3_poly, (-r1[None], [-2.0]), r1)
 
     def test_point_satisfies_extra_rows(self, simplex3, simplex3_poly):
         r1 = simplex3.reward_vectors()[0]
-        sol = pa.solve_lp(simplex3_poly, (r1[None], [0.4]), pa.LinearObjective(r1, "maximize"))
-        assert sol.objective_value == pytest.approx(0.4, abs=1e-7)
+        point = pa.solve_lp(simplex3_poly, (r1[None], [0.4]), r1)
+        assert r1 @ point.flat == pytest.approx(0.4, abs=1e-7)
 
     def test_determinism_bitwise(self, simplex3_poly):
-        obj = pa.LinearObjective(np.array([0.3, 0.3, 0.4]), "maximize")
-        a = pa.solve_lp(simplex3_poly, None, obj)
-        b = pa.solve_lp(simplex3_poly, None, obj)
-        assert np.array_equal(a.point.flat, b.point.flat)
-        assert a.objective_value == b.objective_value
+        coeffs = np.array([0.3, 0.3, 0.4])
+        a = pa.solve_lp(simplex3_poly, None, coeffs)
+        b = pa.solve_lp(simplex3_poly, None, coeffs)
+        assert np.array_equal(a.flat, b.flat)
+
+    def test_objective_length_checked(self, simplex3_poly):
+        with pytest.raises(ValueError):
+            pa.solve_lp(simplex3_poly, None, np.ones(2))
 
 
 class TestImpliedBounds:
@@ -191,6 +193,17 @@ class TestLinprogReference:
         kwargs = {}
         assert _solver.lp(*args, **kwargs).status == _solver.INFEASIBLE
         assert_matches_linprog(args, kwargs)
+
+    def test_iteration_limit_raises(self, monkeypatch):
+        # _solver sets no LP limit, so HiGHS cannot stop early for real;
+        # a stop at one is a failed solve, not an infeasible or optimal one
+        class IterationLimitHighs(_solver._Highs):
+            def getModelStatus(self):
+                return HighsModelStatus.kIterationLimit
+
+        monkeypatch.setattr(_solver, "_Highs", IterationLimitHighs)
+        with pytest.raises(pa.LpFailure, match="Iteration limit"):
+            _solver.lp([0.0, 1.0], *strip().program())
 
     def test_unbounded_system_raises(self):
         # min -y over 0 <= x <= 1, y >= 0
@@ -358,7 +371,6 @@ class TestMilp:
         # thresholds so weak every agent is satisfiable at once
         program = self._approval_program(simplex3, [0.0, 0.0, 0.0])
         sol = pa.milp_solve(program)
-        assert sol.status is pa.SolveStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(3.0, abs=1e-6)
         assert sol.binary_assignment == (1, 1, 1)
 
@@ -385,8 +397,20 @@ class TestMilp:
 
     def test_budget_exhaustion_surfaces(self, simplex3, node_limit_reached):
         program = self._approval_program(simplex3, [0.4, 0.4, 0.4])
-        sol = pa.milp_solve(program)
-        assert sol.status is pa.SolveStatus.ITERATION_LIMIT
+        with pytest.raises(pa.MilpBudgetExhausted):
+            pa.milp_solve(program)
+
+    def test_no_fitting_assignment_raises(self, simplex2):
+        # one binary forced on whose threshold no policy reaches
+        poly = build_polytope(simplex2)
+        r = simplex2.reward_vectors()
+        program = lp.MilpProgram(base=poly, weights=[1.0],
+                                 rows=(np.vstack([np.hstack([-r[:1], [[2.0]]]),
+                                                  np.concatenate([np.zeros(poly.dim), [-1.0]])]),
+                                       [0.0, -1.0]))
+        for solve in (pa.milp_solve, lp.enumerate_milp):
+            with pytest.raises(pa.InfeasibleBounds):
+                solve(program)
 
     def test_highs_node_limit_maps_to_iteration_limit(self):
         # a 60-item, 5-row knapsack HiGHS needs over a hundred nodes to close
@@ -406,7 +430,6 @@ class TestMilp:
         assert a.objective_value == b.objective_value
         # the MILP decides only its binaries; the completed outcome is a
         # function of the assignment
-        assert a.point is None and b.point is None
         r = simplex3.reward_vectors()
         a_done, b_done = (pa.pareto_complete(program.base,
                                              np.where(s.binary_assignment, thresholds, 0.0), r)
@@ -471,5 +494,4 @@ class TestBordaProgram:
         assert program.weights.size == 12
         a = pa.milp_solve(program)
         b = lp.enumerate_milp(program)
-        assert a.status is b.status is pa.SolveStatus.OPTIMAL
         assert a.objective_value == pytest.approx(b.objective_value, abs=1e-9)

@@ -251,8 +251,8 @@ class TestNormalizeRewards:
         norm, _ = pa.normalize_rewards(m, poly)
         for i in range(norm.num_agents):
             r = norm.reward_vectors()[i]
-            lo = pa.solve_lp(poly, None, pa.LinearObjective(r, "minimize")).objective_value
-            hi = pa.solve_lp(poly, None, pa.LinearObjective(r, "maximize")).objective_value
+            lo = r @ pa.solve_lp(poly, None, -r).flat
+            hi = r @ pa.solve_lp(poly, None, r).flat
             assert lo == pytest.approx(0.0, abs=1e-7)
             assert hi == pytest.approx(1.0, abs=1e-7)
 
