@@ -1,7 +1,8 @@
 """Metrics and the experiment runner.
 
 ``prepare`` wires the standard pipeline for one model: normalize rewards,
-build the polytope, chart its hull, draw one shared sample cloud, and fit the
+build the polytope and its warm welfare model (whose home solve every rule's
+LPs start from), chart its hull, draw one shared sample cloud, and fit the
 per-agent return CDFs.  ``run_experiment`` repeats that over seeded instances,
 runs the requested rules, computes fairness metrics, and writes deterministic
 CSV/JSON artifacts.
@@ -23,7 +24,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from . import instances, rules, volume
+from . import instances, lp, rules, volume
 from .errors import PolyaggError, ZeroWelfare
 from .mdp import (
     Momdp,
@@ -81,6 +82,7 @@ def prepare(m: Momdp, samples: int, seed: int, cdf_kind: str = volume.EMPIRICAL,
             chains: int = volume.DEFAULT_CHAINS) -> Pipeline:
     poly = build_polytope(m)
     model, dropped = normalize_rewards(m, poly)
+    lp.home_point(poly, model.reward_vectors())  # the home solve every rule's LPs start from
     cloud = volume.sample_uniform(poly, volume.affine_hull(poly), samples, seed,
                                   burn_in=burn_in, thinning=thinning, chains=chains)
     cdfs = tuple(

@@ -17,6 +17,17 @@ row.  Every solve over a polytope is posed by
 the caller's block, with ``d >= 0`` as variable bounds.  Programs over the
 occupancy variables plus further variables (a floor, a hypograph, binaries)
 ask it for that many extra columns, which it leaves free.
+
+The LPs with per-agent return floors - :func:`pareto_complete` (every
+rule's completion, utilitarian's LP among them), :func:`feasible` and
+leximin's floor rounds - are solves of one warm model per polytope and
+reward matrix (``_solver.Warm``), kept in the polytope's ``warm_models``.
+Its home solve is the welfare LP ``max sum_i <R_i, d>``; each solve changes
+only costs and bounds and starts from the home basis, so its answer does
+not depend on the solves before it.  :func:`home_point` returns the home
+optimum, from which the MILP rules read a starting assignment for
+:func:`milp_solve`.  :func:`enumerate_milp` keeps one warm model per
+program.  :func:`solve_lp` stays cold: its block changes from call to call.
 """
 
 from __future__ import annotations
@@ -77,8 +88,8 @@ class MilpResult:
 def solve_lp(poly: OccupancyPolytope, rows, coeffs) -> OccupancyMeasure:
     """The point maximizing ``coeffs @ d`` over the polytope intersected with
     the halfspaces ``a @ d <= b`` of the block ``rows = (a, b)`` (None for
-    the polytope alone).  Raises :class:`InfeasibleBounds` when they meet
-    nowhere."""
+    the polytope alone), solved cold.  Raises :class:`InfeasibleBounds`
+    when they meet nowhere."""
     c = np.asarray(coeffs, dtype=float).reshape(-1)
     if c.shape[0] != poly.dim:
         raise ValueError("objective length must match the polytope dimension")
@@ -104,19 +115,86 @@ def _measure_from_vector(x: np.ndarray, poly: OccupancyPolytope) -> OccupancyMea
     return OccupancyMeasure(table=(x / x.sum()).reshape(shape))
 
 
-def feasible(poly: OccupancyPolytope, rows) -> bool:
-    """Whether the polytope meets the halfspaces of the block ``rows = (a, b)``
-    (None for the polytope alone)."""
-    return _solver.lp(np.zeros(poly.dim), *poly.program(rows)).status == _solver.OPTIMAL
+def _floors(r: np.ndarray, bounds) -> np.ndarray:
+    """Per-agent return floors as a vector; -inf is no floor and +inf one no
+    point meets.  Raises :class:`ValueError` on a wrong length or a NaN."""
+    b = np.asarray(bounds, dtype=float).reshape(-1)
+    if r.shape[0] != b.shape[0]:
+        raise ValueError("one bound per reward vector required")
+    if np.isnan(b).any():
+        raise ValueError("return lower bounds must not be NaN")
+    return b
 
 
 def lower_bound_rows(reward_vectors, bounds):
     """The block ``(-r, -b)`` encoding <R_i, d> >= b_i."""
     r = np.asarray(reward_vectors, dtype=float)
-    b = np.asarray(bounds, dtype=float).reshape(-1)
-    if r.shape[0] != b.shape[0]:
-        raise ValueError("one bound per reward vector required")
-    return -r, -b
+    return -r, -_floors(r, bounds)
+
+
+# --- the warm welfare model ---------------------------------------------------
+#
+# Over [d ; t] for a reward matrix R of n agents: the polytope's rows, one
+# return row <R_i, d> >= lb_i per agent, then one floor row <R_i, d> >= t per
+# agent (leximin's floor t), all ``a @ [d ; t] <= b`` rows of
+# ``OccupancyPolytope.program``'s block.  The floor rows let leximin's rounds
+# change only bounds.  The home solve leaves every return and floor row free
+# and fixes t at 0.
+
+
+def _rewards(poly: OccupancyPolytope, reward_vectors) -> np.ndarray:
+    r = np.atleast_2d(np.asarray(reward_vectors, dtype=float))
+    if r.shape[1] != poly.dim:
+        raise ValueError("reward vectors must match the polytope dimension")
+    return r
+
+
+def _welfare_model(poly: OccupancyPolytope, r: np.ndarray) -> _solver.Warm:
+    """The polytope's warm welfare model of ``r``, made (one home solve) on
+    first use and kept in ``poly.warm_models``."""
+    key = r.tobytes()
+    model = poly.warm_models.get(key)
+    if model is None:
+        n = r.shape[0]
+        block = (np.block([[-r, np.zeros((n, 1))], [-r, np.ones((n, 1))]]),
+                 np.full(2 * n, np.inf))
+        a_ub, b_ub, a_eq, b_eq, bounds = poly.program(block, 1)
+        bounds[-1] = 0.0
+        model = _solver.Warm(_welfare_cost(r), a_ub, b_ub, a_eq, b_eq, bounds)
+        poly.warm_models[key] = model
+    return model
+
+
+def _welfare_cost(r: np.ndarray) -> np.ndarray:
+    return np.append(-r.sum(axis=0), 0.0)
+
+
+def _warm_solve(poly, r, floors, cost, floored=()) -> _solver.Result:
+    """Minimize ``cost @ [d ; t]`` over the polytope with <R_i, d> >= floors[i]
+    for every agent and <R_i, d> >= t for the agents in ``floored``; t is
+    free when some agent is floored and fixed at 0 otherwise."""
+    n = r.shape[0]
+    floor_rows = np.full(n, np.inf)
+    floor_rows[list(floored)] = 0.0
+    bounds = np.tile([0.0, np.inf], (poly.dim + 1, 1))
+    bounds[-1] = (-np.inf, np.inf) if len(floored) else 0.0
+    return _welfare_model(poly, r).solve(
+        cost, np.concatenate([poly.b_ub, -floors, floor_rows]), bounds)
+
+
+def home_point(poly: OccupancyPolytope, reward_vectors) -> np.ndarray:
+    """The welfare optimum ``max sum_i <R_i, d>`` over the polytope: the
+    point of the home solve every warm solve of ``reward_vectors`` starts
+    from (the solve runs here if it has not yet)."""
+    return _welfare_model(poly, _rewards(poly, reward_vectors)).home.x[:poly.dim].copy()
+
+
+def feasible(poly: OccupancyPolytope, lower_bounds, reward_vectors) -> bool:
+    """Whether some point of the polytope gives every agent
+    ``<R_i, d> >= lower_bounds[i]``."""
+    r = _rewards(poly, reward_vectors)
+    res = _warm_solve(poly, r, _floors(r, lower_bounds), np.zeros(poly.dim + 1))
+    return res.status == _solver.OPTIMAL
 
 
 def pareto_complete(poly: OccupancyPolytope, lower_bounds, reward_vectors) -> OccupancyMeasure:
@@ -125,9 +203,13 @@ def pareto_complete(poly: OccupancyPolytope, lower_bounds, reward_vectors) -> Oc
     Maximizes ``sum_i <R_i, d>`` over ``{d in poly : <R_i, d> >= lb_i}``; the
     result is Pareto optimal among the feasible points because any dominating
     point would also satisfy the bounds and improve the welfare objective.
+    Raises :class:`InfeasibleBounds` when no point meets the bounds.
     """
-    r = np.atleast_2d(np.asarray(reward_vectors, dtype=float))
-    return solve_lp(poly, lower_bound_rows(r, lower_bounds), r.sum(axis=0))
+    r = _rewards(poly, reward_vectors)
+    res = _warm_solve(poly, r, _floors(r, lower_bounds), _welfare_cost(r))
+    if res.status == _solver.INFEASIBLE:
+        raise InfeasibleBounds("no policy meets all return lower bounds")
+    return _measure_from_vector(res.x[:poly.dim], poly)
 
 
 def leximin(poly: OccupancyPolytope, reward_vectors) -> OccupancyMeasure:
@@ -145,10 +227,8 @@ def leximin(poly: OccupancyPolytope, reward_vectors) -> OccupancyMeasure:
     solver tolerance, and pins at ``t*`` itself can leave the welfare
     completion infeasible.
     """
-    r = np.atleast_2d(np.asarray(reward_vectors, dtype=float))
-    n_agents, dim = r.shape
-    if dim != poly.dim:
-        raise ValueError("reward vectors must match the polytope dimension")
+    r = _rewards(poly, reward_vectors)
+    n_agents = r.shape[0]
     fixed: dict[int, float] = {}
     while len(fixed) < n_agents:
         unfixed = [i for i in range(n_agents) if i not in fixed]
@@ -164,20 +244,18 @@ def leximin(poly: OccupancyPolytope, reward_vectors) -> OccupancyMeasure:
 def _max_floor(poly, r, unfixed, fixed) -> tuple[float, np.ndarray]:
     """max t  s.t.  J_i >= t (unfixed),  J_j >= v_j (fixed).
 
-    Returns ``t*`` and the duals (>= 0) of the unfixed agents' rows.
+    Returns ``t*`` and the duals (>= 0) of the unfixed agents' floor rows.
     """
-    pinned = sorted(fixed)
-    rows = (np.vstack([np.hstack([-r[unfixed], np.ones((len(unfixed), 1))]),
-                       np.hstack([-r[pinned], np.zeros((len(pinned), 1))])]),
-            np.concatenate([np.zeros(len(unfixed)), [-fixed[j] for j in pinned]]))
-    c = np.zeros(poly.dim + 1)
-    c[-1] = -1.0
-    res = _solver.lp(c, *poly.program(rows, 1))
+    n = r.shape[0]
+    floors = np.full(n, -np.inf)
+    floors[list(fixed)] = list(fixed.values())
+    cost = np.zeros(poly.dim + 1)
+    cost[-1] = -1.0
+    res = _warm_solve(poly, r, floors, cost, unfixed)
     if res.status != _solver.OPTIMAL:
         raise LpFailure("leximin floor LP did not solve")
-    n_base = poly.a_ub.shape[0]
-    duals = -res.ineqlin.marginals[n_base : n_base + len(unfixed)]
-    return float(-res.fun), duals
+    first_floor_row = poly.a_ub.shape[0] + n
+    return float(-res.fun), -res.duals[first_floor_row + np.asarray(unfixed)]
 
 
 # --- indicator MILPs ---------------------------------------------------------
@@ -192,11 +270,14 @@ def _relaxation_system(p: MilpProgram):
     return c, a_ub, b_ub, a_eq, b_eq, bounds
 
 
-def milp_solve(p: MilpProgram) -> MilpResult:
+def milp_solve(p: MilpProgram, start=None) -> MilpResult:
     """Globally optimal binaries by HiGHS branch-and-cut.
 
     One MILP over ``[d ; z]`` with z binary: the polytope's ``program``
     with ``p.rows`` as its block and the binaries as its extra columns.
+    ``start``, a point ``[d ; z]`` of the program, becomes HiGHS's first
+    incumbent; it must meet every row and bound to within ``FEAS_TOL`` with
+    z exactly binary, else :class:`ValueError` before HiGHS runs.
     Returns the rounded assignment, its exact score ``weights @ z`` (as
     :func:`enumerate_milp` scores it) and the node count, but no point: the
     MILP's d is one arbitrary point of the assignment's region, so a caller
@@ -206,9 +287,12 @@ def milp_solve(p: MilpProgram) -> MilpResult:
     fits the rows.
     """
     nd, nz = p.base.dim, p.weights.size
+    if start is not None:
+        start = np.asarray(start, dtype=float).reshape(-1)
+        _check_start(p, start)
     res = _solver.milp(*_relaxation_system(p),
                        integrality=np.concatenate([np.zeros(nd), np.ones(nz)]),
-                       node_limit=NODE_LIMIT)
+                       node_limit=NODE_LIMIT, start=start)
     if res.status == _solver.ITERATION_LIMIT:
         raise MilpBudgetExhausted(f"MILP reached the node limit of {NODE_LIMIT}")
     if res.status == _solver.INFEASIBLE:
@@ -216,16 +300,29 @@ def milp_solve(p: MilpProgram) -> MilpResult:
     z = np.round(res.x[nd:])
     return MilpResult(binary_assignment=tuple(int(v) for v in z),
                       objective_value=float(p.weights @ z),
-                      nodes=max(int(res.mip_node_count), 1))  # 0 if presolve solves it
+                      nodes=max(int(res.nodes), 1))  # 0 if presolve solves it
+
+
+def _check_start(p: MilpProgram, start: np.ndarray) -> None:
+    nd = p.base.dim
+    if start.shape != (nd + p.weights.size,) or not np.isfinite(start).all():
+        raise ValueError("a MILP start needs one finite value per variable")
+    a, b = p.rows
+    z = start[nd:]
+    if (p.base.max_violation(start[:nd]) > FEAS_TOL or np.any((z != 0.0) & (z != 1.0))
+            or np.any(a @ start - b > FEAS_TOL)):
+        raise ValueError("MILP start violates the program's rows or bounds")
 
 
 def enumerate_milp(p: MilpProgram) -> MilpResult:
     """Exhaustive oracle: check every binary assignment that would beat the
     best found so far with one feasibility LP, and score the best as
-    :func:`milp_solve` does (no point).  With z fixed the block is
-    ``(a[:, :dim], b - a[:, dim:] @ z)`` over d alone.  Raises
-    :class:`InfeasibleBounds` when no assignment fits.
+    :func:`milp_solve` does (no point).  Raises :class:`InfeasibleBounds`
+    when no assignment fits.
 
+    With z fixed the block is ``(a[:, :dim], b - a[:, dim:] @ z)`` over d
+    alone, so the LPs share one warm model whose home is the polytope with
+    the block's rows free; each mask changes only their upper bounds.
     Independent of the HiGHS MILP path of :func:`milp_solve`; intended for
     cross-checking on programs with few binaries.
     """
@@ -233,13 +330,17 @@ def enumerate_milp(p: MilpProgram) -> MilpResult:
     if nz > 20:
         raise ValueError("enumeration oracle limited to 20 binaries")
     a, b = p.rows
+    zero = np.zeros(nd)
+    a_ub, b_ub, a_eq, b_eq, bounds = p.base.program((a[:, :nd], np.full(b.size, np.inf)))
+    model = _solver.Warm(zero, a_ub, b_ub, a_eq, b_eq, bounds)
     best = None
     for mask in range(2**nz):
         z = np.array([(mask >> j) & 1 for j in range(nz)], dtype=float)
         value = float(p.weights @ z)
         if best is not None and value <= best.objective_value + BOUND_TOL:
             continue   # cannot replace the best: no LP
-        if feasible(p.base, (a[:, :nd], b - a[:, nd:] @ z)):
+        res = model.solve(zero, np.concatenate([p.base.b_ub, b - a[:, nd:] @ z]), bounds)
+        if res.status == _solver.OPTIMAL:
             best = MilpResult(binary_assignment=tuple(int(v) for v in z), objective_value=value)
     if best is None:
         raise InfeasibleBounds("no binary assignment meets the MILP's rows")

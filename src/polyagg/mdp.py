@@ -8,7 +8,7 @@ the library (polytope rows, reward vectors, sample clouds) uses this layout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -177,7 +177,9 @@ class OccupancyPolytope:
     equality rows of occupancy polytopes are emitted in a fixed order: the
     unit-mass row first, then one flow row per state.  ``table_shape``
     records the (S, A) layout behind the flattened variables; generic test
-    polytopes leave it unset.
+    polytopes leave it unset.  ``warm_models`` holds the warm solver models
+    :mod:`polyagg.lp` builds over the polytope, one per reward matrix, so
+    they are freed with it.
     """
 
     a_ub: np.ndarray
@@ -185,6 +187,7 @@ class OccupancyPolytope:
     a_eq: np.ndarray
     b_eq: np.ndarray
     table_shape: tuple[int, int] | None = None
+    warm_models: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         a_ub = _freeze(self.a_ub)

@@ -232,7 +232,7 @@ def max_quantile(
         return np.array([volume.quantile_inverse(cdf, q) for cdf in cdfs])
 
     def feasible_at(q: float) -> bool:
-        return lp.feasible(poly, lp.lower_bound_rows(rewards, thresholds_at(q)))
+        return lp.feasible(poly, thresholds_at(q), rewards)
 
     infeasible_above = None
     if feasible_at(1.0):
@@ -292,12 +292,17 @@ def alpha_approval(
     vacuous at a_i = 0 because normalized returns are nonnegative), then
     welfare-completes with floor F_i^{-1}(alpha) on the approving agents.
     Plurality is alpha = 1, whose threshold is 1 - 1e-6 to absorb LP slack.
+    The MILP starts from the agents the welfare optimum (``lp.home_point``)
+    approves.
     """
     watch = _Stopwatch(samples_used=cdfs[0].samples.size if cdfs and alpha < 1.0 else 0)
     program, tau = approval_program(m, poly, cdfs, alpha)
-    z = lp.milp_solve(program).binary_assignment
+    rewards = m.reward_vectors()
+    home = lp.home_point(poly, rewards)
+    approves = tau <= rewards @ home
+    z = lp.milp_solve(program, start=np.concatenate([home, approves])).binary_assignment
     approving = tuple(i for i, on in enumerate(z) if on)
-    point = _complete_assignment(poly, np.where(z, tau, 0.0), m.reward_vectors())
+    point = _complete_assignment(poly, np.where(z, tau, 0.0), rewards)
     cert = ApprovalCertificate(
         alpha=alpha,
         approving_agents=approving,
@@ -330,7 +335,9 @@ def borda_milp(
     rows give (k + 1) a_{i,k} <= sum_j a_{i,j}.  So an assignment with L_i
     active levels admits exactly the points with <R_i, d> >= L_i eps, the
     relaxation is the step functions' concave envelope, and the outcome is
-    the welfare-maximal point: a function of the assignment.
+    the welfare-maximal point: a function of the assignment.  The MILP
+    starts from the welfare optimum (``lp.home_point``) and the
+    ``floor(<R_i, d>/eps)`` levels it reaches.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
@@ -351,7 +358,10 @@ def borda_milp(
                       [-rewards, np.kron(np.eye(n), np.full((1, k_max), epsilon))]]),
             np.zeros(n * k_max))
     program = lp.MilpProgram(base=poly, weights=weights.ravel(), rows=rows)
-    sol = lp.milp_solve(program)
+    home = lp.home_point(poly, rewards)
+    reached = np.clip(np.floor(rewards @ home / epsilon), 0, k_max)
+    start = np.concatenate([home, (np.arange(k_max) < reached[:, None]).ravel()])
+    sol = lp.milp_solve(program, start=start)
     z = sol.binary_assignment
     indicators = tuple(z[i * k_max:(i + 1) * k_max] for i in range(n))
     active = np.array([sum(row) for row in indicators])
@@ -382,8 +392,7 @@ def borda_concave(
     rewards = m.reward_vectors()
     n = m.num_agents
     modes = np.array([volume.mode_estimate(cdf) for cdf in cdfs])
-    mode_rows = lp.lower_bound_rows(rewards, modes)
-    if not lp.feasible(poly, mode_rows):
+    if not lp.feasible(poly, modes, rewards):
         raise ConcaveRegionEmpty("no policy reaches every agent's density mode")
 
     # variables [d ; t]: t_i <= slope * <R_i, d> + intercept on each segment
@@ -391,9 +400,10 @@ def borda_concave(
     segments = [_concave_envelope(cdfs[i], modes[i]) for i in range(n)]
     agent = np.repeat(np.arange(n), [len(seg) for seg in segments])
     slope, intercept = np.concatenate(segments).T
-    rows = (np.vstack([np.hstack([-rewards, np.zeros((n, n))]),
+    mode_a, mode_b = lp.lower_bound_rows(rewards, modes)
+    rows = (np.vstack([np.hstack([mode_a, np.zeros((n, n))]),
                        np.hstack([-slope[:, None] * rewards[agent], np.eye(n)[agent]])]),
-            np.concatenate([-modes, intercept]))
+            np.concatenate([mode_b, intercept]))
     c = np.concatenate([np.zeros(poly.dim), -np.ones(n)])
     res = _solver.lp(c, *poly.program(rows, n))
     if res.status != _solver.OPTIMAL:

@@ -301,7 +301,7 @@ def _chebyshev_origin(poly, a_eq, b_eq, basis, particular):
     if res.status != _solver.OPTIMAL:
         raise DegeneratePolytope("Chebyshev-center LP failed")
     radius = float(res.x[n])
-    tight = active[-res.ineqlin.marginals > FEAS_TOL]
+    tight = active[-res.duals[:active.size] > FEAS_TOL]
     return particular + basis @ (basis.T @ (res.x[:n] - particular)), radius, tight
 
 

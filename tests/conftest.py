@@ -38,6 +38,10 @@ def fully_connected_22():
 
 @pytest.fixture
 def transient_53():
+    return transient_53_model()
+
+
+def transient_53_model():
     """5-state, 3-action average model in which no transition enters state 4.
 
     State 4 is transient: its occupancy is 0 in every stationary policy, so

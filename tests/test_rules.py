@@ -1,4 +1,3 @@
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -240,7 +239,7 @@ class TestAlphaApproval:
         pipe = harness.prepare(model, 12_800, 2867950245, burn_in=2_000, thinning=16)
         cdfs = list(pipe.cdfs)
         res = pa.alpha_approval(pipe.model, pipe.poly, cdfs, alpha=0.9)
-        assert [(r.status, r.mip_gap) for r in results] == [(_solver.OPTIMAL, 0.0)]
+        assert [(r.status, r.gap) for r in results] == [(_solver.OPTIMAL, 0.0)]
         program, _ = rules.approval_program(pipe.model, pipe.poly, cdfs, alpha=0.9)
         assert res.certificate.score == lp.enumerate_milp(program).objective_value
         assert capfd.readouterr() == ("", "")
@@ -324,7 +323,7 @@ class TestBordaMilp:
             pipe = harness.prepare(m, SAMPLES, seed=7)
             for eps in (0.05, 0.1):
                 pa.borda_milp(pipe.model, pipe.poly, list(pipe.cdfs), epsilon=eps)
-        assert [(r.status, r.mip_gap) for r in results] == [(_solver.OPTIMAL, 0.0)] * 4
+        assert [(r.status, r.gap) for r in results] == [(_solver.OPTIMAL, 0.0)] * 4
         assert capfd.readouterr() == ("", "")
 
     def test_beats_max_quantile_score(self, random_pipe):
@@ -427,10 +426,9 @@ class TestMilpCompletion:
     def test_infeasible_assignment_is_a_solver_fault(self, simplex2_pipe, monkeypatch, rule):
         # a MILP "optimum" with every binary on: no policy gives both agents
         # their top return, so the completion has no point
-        def all_on(c, *args, integrality, node_limit):
+        def all_on(c, *args, integrality, node_limit, start=None):
             x = np.asarray(integrality, dtype=float)
-            return SimpleNamespace(status=_solver.OPTIMAL, x=x, fun=float(c @ x),
-                                   mip_node_count=1, mip_gap=0.0)
+            return _solver.Result(status=_solver.OPTIMAL, x=x, fun=float(c @ x), nodes=1)
 
         monkeypatch.setattr(_solver, "milp", all_on)
         with pytest.raises(pa.LpFailure):

@@ -267,7 +267,7 @@ def intrinsic_chebyshev_origin(poly, basis, particular):
     c = np.zeros(dim + 1)
     c[dim] = -1.0
     res = _solver.lp(c, a_ub=np.hstack([gy[active], norms[active, None]]), b_ub=hy[active])
-    tight = active[-res.ineqlin.marginals > pa.lp.FEAS_TOL]
+    tight = active[-res.duals > pa.lp.FEAS_TOL]
     return particular + basis @ res.x[:dim], float(res.x[dim]), tight
 
 
