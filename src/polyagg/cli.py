@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     agg = sub.add_parser("aggregate", help="run one aggregation rule on a MOMDP")
     agg.add_argument("--momdp", type=pathlib.Path, required=True)
-    agg.add_argument("--rule", choices=harness.RULE_NAMES, required=True)
+    agg.add_argument("--rule", choices=tuple(harness.RULES), required=True)
     agg.add_argument("--alpha", type=float)
     agg.add_argument("--epsilon", type=float)
     agg.add_argument("--seed", type=int, required=True)
@@ -129,9 +129,10 @@ def _cmd_aggregate(args) -> int:
         params["epsilon"] = args.epsilon
     if args.veto_order:
         params["order"] = [int(t) for t in args.veto_order.split(",")]
-    # fail on a parameter the rule does not take or a bad output path
-    # before the walk, not after it
+    # fail on a parameter the rule or the walk does not take before making
+    # --out, and on a bad output path before the walk, not after it
     harness.check_rule(args.rule, params)
+    volume.check_walk(args.samples, args.burn_in, args.thinning, args.chains)
     m = load_momdp(args.momdp)
     args.out.mkdir(parents=True, exist_ok=True)
     if args.save_cloud:

@@ -1,11 +1,13 @@
 """Metrics and the experiment runner.
 
-``prepare`` wires the standard pipeline for one model: normalize rewards,
+``prepare`` wires the standard pipeline for one model: normalize rewards and
 build the polytope and its warm welfare model (whose home solve every rule's
-LPs start from), chart its hull, draw one shared sample cloud, and fit the
-per-agent return CDFs.  ``run_experiment`` repeats that over seeded instances,
-runs the requested rules, computes fairness metrics, and writes deterministic
-CSV/JSON artifacts.
+LPs start from).  Its hull chart, one shared sample cloud and the per-agent
+return CDFs are drawn on first read, so only a rule that reads them walks.
+``RULES`` registers every rule with its function in ``rules``, which holds
+the rule's parameters and defaults.  ``run_experiment`` repeats that over
+seeded instances, runs the requested rules, computes fairness metrics, and
+writes deterministic CSV/JSON artifacts.
 
 CSV columns (frozen): ``kind,seed,rule,gini,nash,gini_se,nash_se,returns``.
 Data rows use kind="row" with per-agent normalized returns joined by "|";
@@ -18,9 +20,11 @@ report under "failures".  Wall-clock timings stay in memory unless
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -68,82 +72,87 @@ def welfare_metrics(returns) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class Pipeline:
-    """Shared per-instance artifacts every rule consumes."""
+    """Shared per-instance artifacts every rule consumes.  The hull chart
+    (the cloud's ``chart``), the sample cloud and the return CDFs are drawn on
+    first read and kept, so a rule that reads neither runs no walk."""
 
     model: Momdp                    # normalized rewards
     dropped_agents: tuple[int, ...]
     poly: OccupancyPolytope
-    cloud: volume.SampleCloud       # its ``chart`` is the polytope's hull chart
-    cdfs: tuple[volume.ReturnCdf, ...]
+    walk: dict  # sample_uniform's count, seed, burn_in, thinning and chains
+    cdf_kind: str = volume.EMPIRICAL
+
+    @cached_property
+    def cloud(self) -> volume.SampleCloud:
+        return volume.sample_uniform(self.poly, volume.affine_hull(self.poly), **self.walk)
+
+    @cached_property
+    def cdfs(self) -> tuple[volume.ReturnCdf, ...]:
+        return tuple(volume.estimate_cdf(self.cloud, self.model.rewards[i],
+                                         kind=self.cdf_kind, agent=i)
+                     for i in range(self.model.num_agents))
 
 
 def prepare(m: Momdp, samples: int, seed: int, cdf_kind: str = volume.EMPIRICAL,
             burn_in: int | None = None, thinning: int | None = None,
             chains: int = volume.DEFAULT_CHAINS) -> Pipeline:
+    """Check the walk parameters, normalize and build the polytope."""
+    volume.check_walk(samples, burn_in, thinning, chains)
     poly = build_polytope(m)
     model, dropped = normalize_rewards(m, poly)
     lp.home_point(poly, model.reward_vectors())  # the home solve every rule's LPs start from
-    cloud = volume.sample_uniform(poly, volume.affine_hull(poly), samples, seed,
-                                  burn_in=burn_in, thinning=thinning, chains=chains)
-    cdfs = tuple(
-        volume.estimate_cdf(cloud, model.rewards[i], kind=cdf_kind, agent=i)
-        for i in range(model.num_agents)
-    )
-    return Pipeline(model=model, dropped_agents=tuple(dropped),
-                    poly=poly, cloud=cloud, cdfs=cdfs)
+    walk = dict(count=samples, seed=seed, burn_in=burn_in, thinning=thinning, chains=chains)
+    return Pipeline(model, tuple(dropped), poly, walk, cdf_kind)
 
 
-# every registered rule and the parameters it takes
-RULE_PARAMS = {
-    "utilitarian": (),
-    "egalitarian": (),
-    "veto-core": ("epsilon", "order"),
-    "max-quantile": ("epsilon",),
-    "approval": ("alpha",),
-    "plurality": (),
-    "borda-milp": ("epsilon",),
-    "borda-concave": (),
+# every registered rule: its function in ``rules`` and the Pipeline fields it
+# reads besides the model and the polytope; the parameters a rule takes are
+# that function's keyword parameters after those inputs, with its defaults
+RULES = {
+    "utilitarian": (rules.utilitarian, ()),
+    "egalitarian": (rules.egalitarian, ()),
+    "veto-core": (rules.veto_core, ("cloud",)),
+    "max-quantile": (rules.max_quantile, ("cdfs",)),
+    "approval": (rules.alpha_approval, ("cdfs",)),
+    "plurality": (rules.plurality, ()),
+    "borda-milp": (rules.borda_milp, ("cdfs",)),
+    "borda-concave": (rules.borda_concave, ("cdfs",)),
 }
-RULE_NAMES = tuple(RULE_PARAMS)
+
+
+def _check_params(what: str, fn, inputs: int, params) -> None:
+    """Raise :class:`ValueError` unless ``params`` holds every required and no
+    other parameter of ``fn`` after its first ``inputs`` arguments."""
+    taken = list(inspect.signature(fn).parameters.values())[inputs:]
+    accepted = ", ".join(p.name for p in taken) or "none"
+    unknown = sorted(set(params) - {p.name for p in taken})
+    if unknown:
+        raise ValueError(f"{what} takes no parameter {', '.join(map(repr, unknown))}; "
+                         f"accepted: {accepted}")
+    missing = [p.name for p in taken if p.default is p.empty and p.name not in params]
+    if missing:
+        raise ValueError(f"{what} needs parameter {', '.join(map(repr, missing))}; "
+                         f"accepted: {accepted}")
 
 
 def check_rule(name: str, params) -> None:
     """Raise :class:`ValueError` unless ``name`` is a registered rule that
     takes every key of ``params``."""
-    if name not in RULE_PARAMS:
-        raise ValueError(f"unknown rule {name!r}; known: {', '.join(RULE_NAMES)}")
-    unknown = sorted(set(params) - set(RULE_PARAMS[name]))
-    if unknown:
-        raise ValueError(f"rule {name!r} takes no parameter {', '.join(map(repr, unknown))}; "
-                         f"accepted: {', '.join(RULE_PARAMS[name]) or 'none'}")
+    if name not in RULES:
+        raise ValueError(f"unknown rule {name!r}; known: {', '.join(RULES)}")
+    fn, reads = RULES[name]
+    _check_params(f"rule {name!r}", fn, 2 + len(reads), params)
 
 
 def run_rule(name: str, pipe: Pipeline, **params) -> rules.RuleResult:
-    """Dispatch one registered rule against a prepared pipeline; an unknown
-    rule or parameter raises :class:`ValueError`."""
+    """Run one registered rule against a prepared pipeline; an unknown rule
+    or parameter raises :class:`ValueError`.  The rule's inputs are read
+    (walking on first read) before its own diagnostics start."""
     check_rule(name, params)
-    m, poly = pipe.model, pipe.poly
-    if name == "utilitarian":
-        return rules.utilitarian(m, poly)
-    if name == "egalitarian":
-        return rules.egalitarian(m, poly)
-    if name == "veto-core":
-        eps = params.get("epsilon")
-        if eps is None:
-            eps = min(0.05, 0.9 / m.num_agents)
-        return rules.veto_core(m, poly, pipe.cloud, eps, order=params.get("order"))
-    if name == "max-quantile":
-        return rules.max_quantile(m, poly, list(pipe.cdfs),
-                                  epsilon=params.get("epsilon", 0.01))
-    if name == "approval":
-        return rules.alpha_approval(m, poly, list(pipe.cdfs),
-                                    alpha=params.get("alpha", 0.9))
-    if name == "plurality":
-        return rules.plurality(m, poly)
-    if name == "borda-milp":
-        return rules.borda_milp(m, poly, list(pipe.cdfs),
-                                epsilon=params.get("epsilon", 0.05))
-    return rules.borda_concave(m, poly, list(pipe.cdfs))
+    fn, reads = RULES[name]
+    # looked up on the module, so a wrapper installed there is the one called
+    return getattr(rules, fn.__name__)(pipe.model, pipe.poly,
+                                       *[getattr(pipe, attr) for attr in reads], **params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +188,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.seed is None:
             raise ValueError("an experiment seed is mandatory")
+        _check_source(self.source)
+        volume.check_walk(self.samples, self.burn_in, self.thinning, self.chains)
         object.__setattr__(self, "rules", tuple(self.rules))
 
     @staticmethod
@@ -231,36 +242,49 @@ class ExperimentOutput:
     json_text: str
 
 
+# every spec generator: a function of the instance seed and the parameters
+# a source's "params" may set, with their defaults
+GENERATORS = {
+    "warehouse": lambda seed, warehouses=3, agents=4, criterion="average", gamma=0.95:
+        instances.gen_warehouse(instances.WarehouseParams(
+            warehouses=int(warehouses), agents=int(agents), seed=seed,
+            criterion=criterion, gamma=float(gamma))),
+    "simplex": lambda seed, actions: instances.gen_simplex_instance(int(actions)),
+    "random": lambda seed, states=3, actions=3, agents=3:
+        instances.random_momdp(int(states), int(actions), int(agents), seed=seed),
+    "mis": lambda seed, vertices=6, edge_prob=0.5:
+        instances.gen_from_mis(instances.random_graph(int(vertices), float(edge_prob), seed)),
+    "max2sat": lambda seed, variables=4, clauses=4:
+        instances.gen_from_max2sat(instances.random_2cnf(int(variables), int(clauses), seed)),
+}
+
+
+def _check_source(source) -> None:
+    """Raise :class:`ValueError` unless ``source`` is ``{"file": path}`` or
+    ``{"generator": name, "params": {...}}`` naming a registered generator
+    and every required and no other parameter of it."""
+    if not isinstance(source, dict) or not {"file", "generator"} & set(source):
+        got = ", ".join(map(repr, source)) if isinstance(source, dict) else type(source).__name__
+        raise ValueError("experiment spec source lacks the key 'file' or 'generator'; "
+                         f"got: {got or 'none'}")
+    keys = ("file",) if "file" in source else ("generator", "params")
+    unknown = sorted(set(source) - set(keys))
+    if unknown:
+        raise ValueError(f"experiment spec source takes no key {', '.join(map(repr, unknown))}; "
+                         f"accepted: {', '.join(keys)}")
+    if "generator" in source:
+        gen, params = source["generator"], source.get("params", {})
+        if not isinstance(gen, str) or gen not in GENERATORS:
+            raise ValueError(f"unknown generator {gen!r}; known: {', '.join(GENERATORS)}")
+        if not isinstance(params, dict):
+            raise ValueError("experiment spec source key 'params' must be an object")
+        _check_params(f"generator {gen!r}", GENERATORS[gen], 1, params)
+
+
 def _instantiate(source: dict, instance_seed: int) -> Momdp:
     if "file" in source:
         return load_momdp(source["file"])
-    gen = source["generator"]
-    params = dict(source.get("params", {}))
-    if gen == "warehouse":
-        wp = instances.WarehouseParams(
-            warehouses=int(params.get("warehouses", 3)),
-            agents=int(params.get("agents", 4)),
-            seed=instance_seed,
-            criterion=params.get("criterion", "average"),
-            gamma=float(params.get("gamma", 0.95)),
-        )
-        return instances.gen_warehouse(wp)
-    if gen == "simplex":
-        return instances.gen_simplex_instance(int(params["actions"]))
-    if gen == "random":
-        return instances.random_momdp(
-            int(params.get("states", 3)), int(params.get("actions", 3)),
-            int(params.get("agents", 3)), seed=instance_seed,
-        )
-    if gen == "mis":
-        g = instances.random_graph(int(params.get("vertices", 6)),
-                                   float(params.get("edge_prob", 0.5)), instance_seed)
-        return instances.gen_from_mis(g)
-    if gen == "max2sat":
-        f = instances.random_2cnf(int(params.get("variables", 4)),
-                                  int(params.get("clauses", 4)), instance_seed)
-        return instances.gen_from_max2sat(f)
-    raise ValueError(f"unknown generator {gen!r}")
+    return GENERATORS[source["generator"]](instance_seed, **source.get("params", {}))
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
@@ -273,6 +297,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
     rows: list[MetricsRow] = []
     failures: list[dict] = []
     results_doc: list[dict] = []
+    reads = sorted({attr for r in spec.rules for attr in RULES[r.name][1]})
     for j in range(spec.num_instances):
         instance_seed = spec.seed + j
         try:
@@ -280,30 +305,25 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
             pipe = prepare(m, spec.samples, instance_seed, cdf_kind=spec.cdf_kind,
                            burn_in=spec.burn_in, thinning=spec.thinning,
                            chains=spec.chains)
+            for attr in reads:  # the walk runs here, before the first rule
+                getattr(pipe, attr)
         except PolyaggError as exc:
             failures.append({"seed": instance_seed, "stage": "prepare",
                              "error": type(exc).__name__, "message": str(exc)})
             continue
         instance_doc = {"seed": instance_seed, "rules": {}}
         for rule_spec in spec.rules:
+            label = rule_spec.label()
             try:
                 result = run_rule(rule_spec.name, pipe, **rule_spec.params)
             except PolyaggError as exc:
-                failures.append({"seed": instance_seed, "stage": rule_spec.label(),
+                failures.append({"seed": instance_seed, "stage": label,
                                  "error": type(exc).__name__, "message": str(exc)})
                 continue
-            norm = result.returns  # normalized: the model's returns span [0, 1]
-            g, w = welfare_metrics(norm)
-            row = MetricsRow(
-                rule=rule_spec.label(),
-                instance_seed=instance_seed,
-                returns=tuple(float(v) for v in norm),
-                gini=g,
-                nash=w,
-                runtime=result.diagnostics.wall_time,
-            )
-            rows.append(row)
-            instance_doc["rules"][rule_spec.label()] = result_doc(result, spec.record_runtime)
+            norm = tuple(float(v) for v in result.returns)  # the model's returns span [0, 1]
+            rows.append(MetricsRow(label, instance_seed, norm, *welfare_metrics(norm),
+                                   runtime=result.diagnostics.wall_time))
+            instance_doc["rules"][label] = result_doc(result, spec.record_runtime)
         results_doc.append(instance_doc)
 
     aggregates = _aggregate(rows)
@@ -319,20 +339,16 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
 
 
 def _aggregate(rows) -> list[dict]:
-    by_rule: dict[str, list[MetricsRow]] = {}
-    order: list[str] = []
+    by_rule: dict[str, list[MetricsRow]] = {}  # in order of first appearance
     for row in rows:
-        if row.rule not in by_rule:
-            by_rule[row.rule] = []
-            order.append(row.rule)
-        by_rule[row.rule].append(row)
+        by_rule.setdefault(row.rule, []).append(row)
     out = []
-    for rule in order:
-        g = np.array([r.gini for r in by_rule[rule]])
-        w = np.array([r.nash for r in by_rule[rule]])
+    for rule, group in by_rule.items():
+        g = np.array([r.gini for r in group])
+        w = np.array([r.nash for r in group])
         out.append({
             "rule": rule,
-            "instances": len(by_rule[rule]),
+            "instances": len(group),
             "gini_mean": float(g.mean()),
             "gini_se": float(g.std(ddof=1) / np.sqrt(g.size)) if g.size > 1 else 0.0,
             "nash_mean": float(w.mean()),

@@ -10,6 +10,7 @@ welfare-maximizing, hence Pareto-optimal, point of the rule's feasible set.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,7 +153,7 @@ def veto_core(
     m: Momdp,
     poly: OccupancyPolytope,
     cloud: SampleCloud,
-    epsilon: float,
+    epsilon: float | None = None,
     order=None,
 ) -> RuleResult:
     """Sequential proportional veto core.
@@ -167,9 +168,12 @@ def veto_core(
     samples below it are cut.  The sample attaining v_i stays in the region,
     so the region never empties and no feasibility LP is needed.  The
     returned point is the welfare-maximizing point of the final region
-    ``{d : <R_i, d> >= v_i for all i}``.
+    ``{d : <R_i, d> >= v_i for all i}``.  ``epsilon`` defaults to
+    min(0.05, 0.9/n).
     """
     n = m.num_agents
+    if epsilon is None:
+        epsilon = min(0.05, 0.9 / n)
     if not 0.0 < epsilon < 1.0 / n:
         raise ValueError("epsilon must lie in (0, 1/n)")
     order = tuple(range(n)) if order is None else tuple(int(i) for i in order)
@@ -209,7 +213,7 @@ def veto_core(
 def max_quantile(
     m: Momdp,
     poly: OccupancyPolytope,
-    cdfs: list[ReturnCdf],
+    cdfs: Sequence[ReturnCdf],
     epsilon: float = 0.01,
 ) -> RuleResult:
     """Largest q such that some outcome meets every agent's q-quantile.
@@ -261,7 +265,7 @@ def max_quantile(
 def approval_program(
     m: Momdp,
     poly: OccupancyPolytope,
-    cdfs: list[ReturnCdf] | None,
+    cdfs: Sequence[ReturnCdf] | None,
     alpha: float,
 ) -> tuple[lp.MilpProgram, np.ndarray]:
     """The approval indicator program and its per-agent thresholds."""
@@ -282,8 +286,8 @@ def approval_program(
 def alpha_approval(
     m: Momdp,
     poly: OccupancyPolytope,
-    cdfs: list[ReturnCdf] | None,
-    alpha: float,
+    cdfs: Sequence[ReturnCdf] | None,
+    alpha: float = 0.9,
 ) -> RuleResult:
     """Maximize the number of agents whose return clears their alpha-quantile.
 
@@ -320,7 +324,7 @@ def plurality(m: Momdp, poly: OccupancyPolytope) -> RuleResult:
 def borda_milp(
     m: Momdp,
     poly: OccupancyPolytope,
-    cdfs: list[ReturnCdf],
+    cdfs: Sequence[ReturnCdf],
     epsilon: float = 0.05,
 ) -> RuleResult:
     """Approximate Borda winner via level-indicator MILP.
@@ -378,7 +382,7 @@ def borda_milp(
 def borda_concave(
     m: Momdp,
     poly: OccupancyPolytope,
-    cdfs: list[ReturnCdf],
+    cdfs: Sequence[ReturnCdf],
 ) -> RuleResult:
     """Borda winner restricted to the region past every density mode.
 

@@ -305,6 +305,18 @@ def _chebyshev_origin(poly, a_eq, b_eq, basis, particular):
     return particular + basis @ (basis.T @ (res.x[:n] - particular)), radius, tight
 
 
+def check_walk(count: int, burn_in: int | None = None, thinning: int | None = None,
+               chains: int = DEFAULT_CHAINS) -> None:
+    """Raise :class:`ValueError` on walk parameters no walk takes: fewer than
+    one sample, one chain or a thinning of one, or a negative burn-in
+    (``None`` leaves a default to :func:`sample_uniform`)."""
+    if count < 1:
+        raise ValueError("count must be positive")
+    if ((burn_in is not None and int(burn_in) < 0)
+            or (thinning is not None and int(thinning) < 1) or chains < 1):
+        raise ValueError("bad walk parameters")
+
+
 def sample_uniform(
     poly: OccupancyPolytope,
     chart: HullChart,
@@ -339,8 +351,7 @@ def sample_uniform(
     A zero-dimensional chart cannot be walked: the cloud holds ``count``
     empty coordinate rows, each the chart origin, and is flagged degenerate.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+    check_walk(count, burn_in, thinning, chains)
     dim = chart.dim
     if dim == 0:
         params = WalkParams(burn_in=0, thinning=1, count=count, chains=1)
@@ -350,8 +361,6 @@ def sample_uniform(
                            table_shape=poly.table_shape)
     burn_in = 1000 * dim if burn_in is None else int(burn_in)
     thinning = dim if thinning is None else int(thinning)
-    if thinning < 1 or burn_in < 0 or chains < 1:
-        raise ValueError("bad walk parameters")
     params = WalkParams(burn_in=burn_in, thinning=thinning, count=count, chains=chains)
 
     gy, hy = _intrinsic_inequalities(poly, chart.basis, chart.origin)

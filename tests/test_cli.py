@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import polyagg as pa
-from polyagg import harness
+from polyagg import harness, volume
 from polyagg.cli import main
 
 
@@ -175,6 +175,29 @@ class TestAggregate:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {error}: ")
 
+    @pytest.mark.parametrize("rule", ["utilitarian", "egalitarian", "plurality"])
+    def test_lp_only_rule_never_walks(self, tmp_path, monkeypatch, rule):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked for a rule that reads no cloud")
+
+        monkeypatch.setattr(volume, "affine_hull", no_walk)
+        monkeypatch.setattr(volume, "sample_uniform", no_walk)
+        momdp = tmp_path / "m.json"
+        run_cli("gen", "simplex", "--actions", 3, "--out", momdp)
+        assert run_cli("aggregate", "--momdp", momdp, "--rule", rule, "--seed", 1,
+                       "--out", tmp_path / "r") == 0
+        doc = json.loads((tmp_path / "r" / "result.json").read_text())
+        assert doc["result"]["diagnostics"]["samples_used"] == 0
+
+    def test_bad_walk_parameter_without_a_walk_exit_code(self, tmp_path, capsys):
+        momdp = tmp_path / "m.json"
+        run_cli("gen", "simplex", "--actions", 2, "--out", momdp)
+        code = run_cli("aggregate", "--momdp", momdp, "--rule", "utilitarian",
+                       "--chains", 0, "--seed", 1, "--out", tmp_path / "c")
+        assert code == 2
+        assert capsys.readouterr().err == "error: ValueError: bad walk parameters\n"
+        assert not (tmp_path / "c").exists()
+
     def test_budget_exit_code(self, tmp_path, monkeypatch):
         import polyagg.harness as harness_mod
 
@@ -265,6 +288,18 @@ class TestExperiment:
         assert code == 2
         assert capsys.readouterr().err == ("error: ValueError: rule 'max-quantile' takes no "
                                            "parameter 'eps'; accepted: epsilon\n")
+        assert not (tmp_path / "r").exists()
+
+    def test_spec_source_without_generator_exit_code(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "source": {"generatr": "random"}, "seed": 1, "rules": [{"name": "utilitarian"}],
+        }))
+        code = run_cli("experiment", "--spec", spec_path, "--out", tmp_path / "r")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: ValueError: experiment spec source lacks the key 'file' or "
+            "'generator'; got: 'generatr'\n")
         assert not (tmp_path / "r").exists()
 
     def test_spec_wrong_shape_exit_code(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -237,7 +238,111 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"; accepted: {accepted}$"):
             harness.ExperimentSpec.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("source, message", [
+        ({"generatr": "random"},
+         "experiment spec source lacks the key 'file' or 'generator'; got: 'generatr'"),
+        ({"generator": "simplex"},
+         "generator 'simplex' needs parameter 'actions'; accepted: actions"),
+        ({"generator": "random", "params": {"agent": 5}},
+         "generator 'random' takes no parameter 'agent'; accepted: states, actions, agents"),
+        ({"generator": "lattice"},
+         "unknown generator 'lattice'; known: warehouse, simplex, random, mis, max2sat"),
+        ({"file": "m.json", "params": {}},
+         "experiment spec source takes no key 'params'; accepted: file"),
+        ({"generator": "mis", "params": [6]},
+         "experiment spec source key 'params' must be an object"),
+    ])
+    def test_malformed_source_rejected(self, source, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            harness.ExperimentSpec(source=source, rules=(), seed=1)
+        doc = {"source": source, "rules": [{"name": "utilitarian"}], "seed": 1}
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            harness.ExperimentSpec.from_json(json.dumps(doc))
+
+    def test_generator_defaults(self):
+        m = harness._instantiate({"generator": "random", "params": {"states": 2}}, 5)
+        assert (m.num_states, m.num_actions, m.num_agents) == (2, 3, 3)
+
+    def test_rule_defaults_live_in_the_rule(self):
+        pipe = harness.prepare(pa.random_momdp(2, 2, 20, seed=3), 500, seed=1)
+        n = pipe.model.num_agents
+        assert n > 18  # min(0.05, 0.9 / n) picks 0.9 / n
+        veto = harness.run_rule("veto-core", pipe).certificate
+        assert veto.epsilon == min(0.05, 0.9 / n)
+        assert harness.run_rule("approval", pipe).certificate.alpha == 0.9
+
     def test_write_experiment(self, tmp_path):
         out = harness.write_experiment(small_spec(), tmp_path / "exp")
         assert (tmp_path / "exp" / "results.csv").read_text() == out.csv_text
         assert (tmp_path / "exp" / "results.json").read_text() == out.json_text
+
+
+LP_RULES = (harness.RuleSpec("utilitarian"), harness.RuleSpec("egalitarian"),
+            harness.RuleSpec("plurality"))
+
+
+@pytest.fixture
+def no_walk(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked for a rule that reads no cloud")
+
+    monkeypatch.setattr(volume, "affine_hull", refuse)
+    monkeypatch.setattr(volume, "sample_uniform", refuse)
+
+
+class TestLazyWalk:
+    """The hull chart, the cloud and the CDFs are drawn only for a rule that
+    reads them, once per instance, before the first rule runs."""
+
+    def test_lp_only_experiment_never_walks(self, no_walk):
+        out = harness.run_experiment(small_spec(rules=LP_RULES))
+        assert len(out.rows) == 6 and not out.failures
+
+    @pytest.mark.parametrize("walk", [
+        {"samples": 0}, {"burn_in": -1}, {"thinning": 0}, {"chains": 0},
+    ])
+    def test_walk_parameters_checked_without_a_walk(self, no_walk, walk):
+        bad = "count must be positive|bad walk parameters"
+        with pytest.raises(ValueError, match=bad):
+            harness.prepare(pa.gen_simplex_instance(2), **{"samples": 100, "seed": 1, **walk})
+        with pytest.raises(ValueError, match=bad):
+            small_spec(rules=LP_RULES, **walk)
+
+    def test_mixed_spec_walks_once_per_instance_before_the_first_rule(self, monkeypatch):
+        events = []
+
+        def logged(name, fn):
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("affine_hull", "sample_uniform"):
+            monkeypatch.setattr(volume, name, logged(name, getattr(volume, name)))
+        monkeypatch.setattr(harness, "run_rule", logged("rule", harness.run_rule))
+        rules = (harness.RuleSpec("utilitarian"), harness.RuleSpec("max-quantile"),
+                 harness.RuleSpec("veto-core"), harness.RuleSpec("egalitarian"))
+        out = harness.run_experiment(small_spec(rules=rules))
+        assert len(out.rows) == 8
+        assert events == 2 * ["affine_hull", "sample_uniform", "rule", "rule", "rule", "rule"]
+
+    def test_walk_failure_lands_under_prepare(self, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise pa.DegeneratePolytope("no interior")
+
+        monkeypatch.setattr(volume, "sample_uniform", degenerate)
+        out = harness.run_experiment(small_spec())
+        assert not out.rows
+        assert [(f["seed"], f["stage"], f["error"]) for f in out.failures] == \
+            [(50, "prepare", "DegeneratePolytope"), (51, "prepare", "DegeneratePolytope")]
+        assert json.loads(out.json_text)["results"] == []
+
+    @pytest.mark.parametrize("rule", ["veto-core", "max-quantile", "borda-milp"])
+    def test_lp_solves_leave_out_the_walk(self, rule):
+        m = pa.gen_simplex_instance(3)
+        fresh = harness.prepare(m, 2000, seed=4)
+        drawn = harness.prepare(m, 2000, seed=4)
+        drawn.cdfs
+        a = harness.run_rule(rule, fresh).diagnostics
+        b = harness.run_rule(rule, drawn).diagnostics
+        assert (a.lp_solves, a.samples_used) == (b.lp_solves, b.samples_used)

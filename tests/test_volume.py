@@ -187,6 +187,20 @@ class TestSampleUniform:
         assert cloud.count == 100
         assert np.allclose(cloud.points, [0.5, 0.5])
 
+    @pytest.mark.parametrize("walk", [
+        {"count": 0}, {"burn_in": -5}, {"thinning": 0}, {"chains": 0},
+        {"thinning": 0, "chains": 0, "burn_in": -5},
+    ])
+    def test_bad_walk_parameters_rejected_on_a_point(self, two_cycle, walk):
+        # a zero-dimensional chart takes no step, yet its walk parameters
+        # are checked as for any other
+        poly = build_polytope(two_cycle)
+        chart = pa.affine_hull(poly)
+        assert chart.dim == 0
+        kwargs = {"count": 100, "seed": 0, **walk}
+        with pytest.raises(ValueError, match="count must be positive|bad walk parameters"):
+            pa.sample_uniform(poly, chart, **kwargs)
+
 
 def reference_walk(poly, chart, count, seed, burn_in, thinning,
                    chains=volume.DEFAULT_CHAINS):
