@@ -210,6 +210,15 @@ def veto_core(
     return _finish(m, point, cert, watch)
 
 
+def _levels(epsilon: float) -> int:
+    """The number of steps of the grid {0, eps, ..., 1}; :class:`ValueError`
+    unless 1/eps is a whole number, so that the grid ends at 1."""
+    levels = 1.0 / epsilon
+    if abs(levels - round(levels)) > 1e-9:
+        raise ValueError("1/epsilon must be an integer")
+    return int(round(levels))
+
+
 def max_quantile(
     m: Momdp,
     poly: OccupancyPolytope,
@@ -222,15 +231,16 @@ def max_quantile(
     agent weakly prefers d to at least a q fraction of the polytope (by
     volume); a larger q is better.
 
-    Bisects q on the fixed grid {0, eps, 2 eps, ..., 1}; a level is feasible
-    when the LP region {d : <R_i, d> >= F_i^{-1}(q) for all i} is nonempty.
+    Bisects q on the fixed grid {0, eps, 2 eps, ..., 1}, so 1/eps must be a
+    whole number; a level is feasible when the LP region
+    {d : <R_i, d> >= F_i^{-1}(q) for all i} is nonempty.
     Returns the welfare-maximizing point at the best feasible level.
     """
     if epsilon <= 0 or epsilon > 0.5:
         raise ValueError("epsilon must lie in (0, 0.5]")
+    grid = _levels(epsilon)
     watch = _Stopwatch(samples_used=cdfs[0].samples.size)
     rewards = m.reward_vectors()
-    grid = int(round(1.0 / epsilon))
 
     def thresholds_at(q: float) -> np.ndarray:
         return np.array([volume.quantile_inverse(cdf, q) for cdf in cdfs])
@@ -345,10 +355,7 @@ def borda_milp(
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
-    levels = 1.0 / epsilon
-    if abs(levels - round(levels)) > 1e-9:
-        raise ValueError("1/epsilon must be an integer")
-    k_max = int(round(levels))
+    k_max = _levels(epsilon)
     watch = _Stopwatch(samples_used=cdfs[0].samples.size)
     rewards = m.reward_vectors()
     n = m.num_agents

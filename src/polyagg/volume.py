@@ -29,7 +29,6 @@ LOGISTIC = "logistic"
 INTERIOR_TOL = 1e-10      # minimum Chebyshev radius before degeneracy
 DEFAULT_CHAINS = 64
 LOGISTIC_MAX_DEV = 0.05   # reject a fit whose cdf deviates more than this
-QUANTILE_REL_TOL = 1e-4   # bisection width, relative to the support
 SWEEP_BLOCK_STEPS = 4096  # walk steps per block of random draws, before rounding
 AXIS_ZERO_TOL = 1e-14     # chart-axis entries this small never bound a chord
 MODE_BINS = 100           # histogram bins of mode_estimate
@@ -124,10 +123,10 @@ class FractionEstimate:
 class ReturnCdf:
     """Estimated cdf of one agent's return over the polytope.
 
-    ``samples`` holds the sorted sample returns regardless of kind, read-only;
-    ``support`` defaults to their range.  The logistic kind additionally
-    evaluates through fitted parameters ``(growth, midpoint, asymmetry)`` of
-    ``(1 + exp(-B (v - M)))**(-nu)``.
+    ``samples`` holds the sorted sample returns regardless of kind, read-only,
+    and ``support`` is their range, at whose ends F reads exactly 0 and 1.
+    The logistic kind evaluates inside it through fitted parameters
+    ``(growth, midpoint, asymmetry)`` of ``(1 + exp(-B (v - M)))**(-nu)``.
 
     A 1-D array that is already sorted, read-only, float64 and owns its data
     (or views a read-only array that does), as :func:`estimate_cdf` builds
@@ -138,7 +137,6 @@ class ReturnCdf:
     agent: int | str
     kind: str
     samples: np.ndarray
-    support: tuple[float, float] | None = None
     params: tuple[float, float, float] | None = None
 
     def __post_init__(self):
@@ -148,8 +146,11 @@ class ReturnCdf:
             s.sort()
             _seal(s)
         object.__setattr__(self, "samples", s)
-        if self.support is None:
-            object.__setattr__(self, "support", (float(s[0]), float(s[-1])))
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """The samples' range."""
+        return float(self.samples[0]), float(self.samples[-1])
 
     def evaluate(self, v):
         """F(v), vectorized; exactly 0/1 at or beyond the support edges."""
@@ -157,15 +158,10 @@ class ReturnCdf:
         lo, hi = self.support
         if self.kind == LOGISTIC:
             out = _logistic(v, *self.params)
-            out = np.where(v <= lo, 0.0, out)
-            out = np.where(v >= hi, 1.0, out)
         else:
-            n = self.samples.shape[0]
-            left = np.searchsorted(self.samples, v, side="left")
-            right = np.searchsorted(self.samples, v, side="right")
-            out = (left + right) / (2.0 * n)
-            out = np.where(v <= lo, 0.0, out)
-            out = np.where(v >= hi, 1.0, out)
+            s = self.samples
+            out = (s.searchsorted(v, "left") + s.searchsorted(v, "right")) / (2.0 * s.shape[0])
+        out = np.where(v >= hi, 1.0, np.where(v <= lo, 0.0, out))
         return out if out.ndim else float(out)
 
 
@@ -478,8 +474,7 @@ def estimate_cdf(cloud: SampleCloud, reward_table, kind: str = EMPIRICAL,
     values = empirical.samples
     params = _fit_generalized_logistic(values)
     if params is not None:
-        fitted = ReturnCdf(agent=agent, kind=LOGISTIC, samples=values,
-                           support=empirical.support, params=params)
+        fitted = ReturnCdf(agent=agent, kind=LOGISTIC, samples=values, params=params)
         if _logistic_fit_acceptable(fitted, values):
             return fitted
     return empirical
@@ -535,40 +530,34 @@ def _logistic_fit_acceptable(cdf: ReturnCdf, sorted_values) -> bool:
 
 
 def quantile_inverse(cdf: ReturnCdf, q: float) -> float:
-    """Smallest v in the support with F(v) >= q, by bisection.
+    """Smallest float v in the support with F(v) >= q; the support's lower
+    end for q = 0.
 
-    The search stops at width 1e-4 of the support, so it costs
-    O(log(1/delta)) cdf evaluations.  The empirical kind evaluates each
-    midpoint on scalars, with the same clamps and midpoint rank as
-    :meth:`ReturnCdf.evaluate`.
+    Between samples the empirical F reads fl(c/n), c the samples at or
+    below v, so the answer is the k-th smallest sample for the least k with
+    fl(k/n) >= q, or the next float above it where the midpoint rank reads
+    below q.  The logistic kind inverts its fit, M - ln(q^(-1/nu) - 1)/B,
+    clamped to the support: F(v) = q up to rounding inside it, and q = 1
+    gives the upper end.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     lo, hi = cdf.support
-    if q <= 0.0:
-        return lo
-    if lo == hi:
+    if q == 0.0:
         return lo
     if cdf.kind == LOGISTIC:
-        cdf_at = cdf.evaluate
-    else:
-        search, n2 = cdf.samples.searchsorted, 2.0 * cdf.samples.shape[0]
-        s_lo, s_hi = cdf.support   # fixed while the bisection moves lo and hi
-
-        def cdf_at(v):
-            if v >= s_hi:
-                return 1.0
-            if v <= s_lo:
-                return 0.0
-            return (search(v, "left") + search(v, "right")) / n2
-    delta = QUANTILE_REL_TOL * (hi - lo)
-    while hi - lo > delta:
-        mid = 0.5 * (lo + hi)
-        if cdf_at(mid) >= q:
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+        growth, midpoint, asymmetry = cdf.params
+        with np.errstate(divide="ignore", over="ignore"):
+            v = midpoint - np.log(np.float64(q) ** (-1.0 / asymmetry) - 1.0) / growth
+        return float(np.clip(v, lo, hi))
+    n = cdf.samples.shape[0]
+    k = int(np.ceil(q * n))   # off by one where q * n rounds across an integer
+    if k > 1 and (k - 1) / n >= q:
+        k -= 1
+    elif k < n and k / n < q:
+        k += 1
+    v = float(cdf.samples[k - 1])
+    return v if cdf.evaluate(v) >= q else float(np.nextafter(v, np.inf))
 
 
 def centroid_point(cloud: SampleCloud) -> np.ndarray:

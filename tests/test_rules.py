@@ -27,6 +27,14 @@ def random_pipe():
     return harness.prepare(m, SAMPLES, seed=103)
 
 
+@pytest.fixture(scope="module")
+def volumetric_pipes():
+    """Random 4x3x4 seeds 500-503, then warehouse 3x4 seed 2000 (walk seed 7)."""
+    models = [pa.random_momdp(4, 3, 4, seed=s) for s in range(500, 504)]
+    models.append(pa.gen_warehouse(pa.WarehouseParams(3, 4, seed=2000)))
+    return [harness.prepare(m, SAMPLES, seed=7) for m in models]
+
+
 def borda_score(result, cdfs, rewards):
     return float(sum(
         cdfs[i].evaluate(float(rewards[i] @ result.occupancy.flat))
@@ -197,6 +205,22 @@ class TestMaxQuantile:
         for i, t in enumerate(cert.thresholds):
             assert res.returns[i] >= t - 1e-6
 
+    def test_epsilon_must_divide_one(self, random_pipe):
+        # on a grid of 0.3 steps, level 0.9 would be read as q = 1
+        with pytest.raises(ValueError, match="1/epsilon must be an integer"):
+            pa.max_quantile(random_pipe.model, random_pipe.poly, list(random_pipe.cdfs),
+                            epsilon=0.3)
+
+    @pytest.mark.parametrize("epsilon", [0.5, 0.25, 0.1])
+    def test_q_star_is_the_largest_feasible_level(self, volumetric_pipes, epsilon):
+        for pipe in volumetric_pipes[:4]:
+            cdfs, r = list(pipe.cdfs), pipe.model.reward_vectors()
+            levels = [k * epsilon for k in range(round(1 / epsilon))] + [1.0]
+            feasible = [q for q in levels
+                        if lp.feasible(pipe.poly, [pa.quantile_inverse(c, q) for c in cdfs], r)]
+            res = pa.max_quantile(pipe.model, pipe.poly, cdfs, epsilon=epsilon)
+            assert res.certificate.q_star == max(feasible)
+
 
 class TestAlphaApproval:
     def test_low_alpha_everyone_approves(self, simplex3_pipe):
@@ -361,11 +385,52 @@ class TestBordaConcave:
 
         high = np.linspace(0.9, 1.0, 500)
         cdfs = [
-            ReturnCdf(agent=0, kind="empirical", samples=high, support=(0.9, 1.0)),
-            ReturnCdf(agent=1, kind="empirical", samples=high, support=(0.9, 1.0)),
+            ReturnCdf(agent=0, kind="empirical", samples=high),
+            ReturnCdf(agent=1, kind="empirical", samples=high),
         ]
         with pytest.raises(pa.ConcaveRegionEmpty):
             pa.borda_concave(simplex2_pipe.model, simplex2_pipe.poly, cdfs)
+
+
+@pytest.fixture(scope="module")
+def own_objective_runs(volumetric_pipes):
+    """Per pipeline: max-quantile's and borda-milp's results and every other
+    rule's returns (borda-concave's where its mode region is nonempty)."""
+    out = []
+    for pipe in volumetric_pipes:
+        others = {}
+        for name, params in (("utilitarian", {}), ("egalitarian", {}), ("veto-core", {}),
+                             ("approval", {"alpha": 0.9}), ("plurality", {}),
+                             ("borda-concave", {})):
+            try:
+                others[name] = harness.run_rule(name, pipe, **params).returns
+            except pa.ConcaveRegionEmpty:
+                pass
+        out.append((pipe, harness.run_rule("max-quantile", pipe, epsilon=0.01),
+                    harness.run_rule("borda-milp", pipe, epsilon=0.05), others))
+    return out
+
+
+class TestOwnObjective:
+    """Each volumetric rule scores at least every other rule's outcome on
+    its own objective, read through the same CDFs."""
+
+    def test_max_quantile_reaches_every_rules_level(self, own_objective_runs):
+        levels = [k * 0.01 for k in range(100)] + [1.0]   # as max_quantile bisects them
+        for pipe, quant, borda, others in own_objective_runs:
+            for name, r in {**others, "borda-milp": borda.returns}.items():
+                achieved = min(cdf.evaluate(v) for cdf, v in zip(pipe.cdfs, r))
+                best = max(q for q in levels if achieved >= q)
+                assert quant.certificate.q_star >= best, name
+
+    def test_borda_milp_reaches_every_rules_rounded_score(self, own_objective_runs):
+        grid = np.arange(21) * 0.05   # as borda_milp spells its levels
+        for pipe, quant, borda, others in own_objective_runs:
+            for name, r in {**others, "max-quantile": quant.returns}.items():
+                levels = np.clip(np.floor(r / 0.05), 0, 20).astype(int)
+                score = sum(cdf.evaluate(grid[k]) - cdf.evaluate(0.0)
+                            for cdf, k in zip(pipe.cdfs, levels))
+                assert borda.certificate.rounded_score >= score - 1e-9, name
 
 
 class TestCrossRuleProperties:

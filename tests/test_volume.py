@@ -592,12 +592,17 @@ class TestQuantileInverse:
         assert pa.quantile_inverse(cdf, q1) <= pa.quantile_inverse(cdf, q2) + 1e-12
 
 
+BISECTION_REL_TOL = 1e-4   # the reference bisection's width, relative to the support
+
+
 def reference_quantile(cdf, q):
-    """quantile_inverse as a plain bisection through ReturnCdf.evaluate."""
+    """The smallest v with F(v) >= q, bracketed by bisection through
+    ReturnCdf.evaluate to width 1e-4 of the support: an upper bound on it
+    within that width."""
     lo, hi = cdf.support
     if q <= 0.0 or lo == hi:
         return lo
-    delta = volume.QUANTILE_REL_TOL * (hi - lo)
+    delta = BISECTION_REL_TOL * (hi - lo)
     while hi - lo > delta:
         mid = 0.5 * (lo + hi)
         if cdf.evaluate(mid) >= q:
@@ -617,13 +622,29 @@ class TestQuantileReference:
         values = rng.normal(size=n)
         if seed % 2:
             values = np.round(values, 1)   # ties
-        cdfs = [volume.ReturnCdf(agent=0, kind="empirical", samples=values)]
-        lo, hi = np.sort(rng.normal(size=2))
-        cdfs.append(volume.ReturnCdf(agent=0, kind="empirical", samples=values,
-                                     support=(float(lo), float(hi))))
-        for cdf in cdfs:
-            for q in self.QS + list(rng.random(10)):
-                assert pa.quantile_inverse(cdf, q) == reference_quantile(cdf, q)
+        cdf = volume.ReturnCdf(agent=0, kind="empirical", samples=values)
+        lo, hi = cdf.support
+        for q in self.QS + list(rng.random(10)):
+            v = pa.quantile_inverse(cdf, q)
+            # the definition: the smallest float of the support with F(v) >= q
+            assert lo <= v <= hi
+            assert cdf.evaluate(v) >= q
+            assert v == lo or cdf.evaluate(np.nextafter(v, -np.inf)) < q
+            assert v <= reference_quantile(cdf, q) <= v + BISECTION_REL_TOL * (hi - lo)
+
+    def test_levels_on_the_rank_grid(self):
+        # levels k / n and their float neighbours, where q * n can round
+        # across an integer; k * 0.1 is how max-quantile spells its levels
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3, 7, 10, 20, 97, 1000):
+            cdf = volume.ReturnCdf(agent=0, kind="empirical", samples=rng.normal(size=n))
+            lo = cdf.support[0]
+            qs = [k / n for k in range(1, n + 1)] + [k * 0.1 for k in range(1, 11)]
+            for q in qs + [np.nextafter(q, d) for q in qs for d in (0.0, 2.0)]:
+                q = min(float(q), 1.0)
+                v = pa.quantile_inverse(cdf, q)
+                assert cdf.evaluate(v) >= q
+                assert v == lo or cdf.evaluate(np.nextafter(v, -np.inf)) < q
 
     def test_logistic_matches_reference(self):
         f = pa.CnfFormula(num_variables=2, clauses=((1, 2),))
@@ -632,11 +653,22 @@ class TestQuantileReference:
         cloud = pa.sample_uniform(poly, pa.affine_hull(poly), 20_000, seed=23)
         cdf = pa.estimate_cdf(cloud, m.rewards[0] * m.num_states, kind="logistic")
         assert cdf.kind == "logistic"
-        narrow = volume.ReturnCdf(agent=0, kind="logistic", samples=cdf.samples,
-                                  support=(0.5, 1.75), params=cdf.params)
+        s = cdf.samples
+        narrow = volume.ReturnCdf(agent=0, kind="logistic",
+                                  samples=s[(s >= 0.5) & (s <= 1.75)], params=cdf.params)
+        growth, midpoint, asymmetry = cdf.params
         for c in (cdf, narrow):
-            for q in self.QS + list(np.linspace(0.01, 0.99, 25)):
-                assert pa.quantile_inverse(c, q) == reference_quantile(c, q)
+            lo, hi = c.support
+            for q in self.QS[1:] + list(np.linspace(0.01, 0.99, 25)):
+                v = pa.quantile_inverse(c, q)
+                with np.errstate(divide="ignore"):
+                    raw = midpoint - np.log(np.float64(q) ** (-1 / asymmetry) - 1) / growth
+                if lo < raw < hi:
+                    assert abs(c.evaluate(v) - q) <= 1e-12
+                else:
+                    assert v == (lo if raw <= lo else hi)
+                assert v <= reference_quantile(c, q) + BISECTION_REL_TOL * (hi - lo)
+            assert pa.quantile_inverse(c, 0.0) == lo
 
 
 class TestCentroidAndMode:
