@@ -11,7 +11,7 @@ required key or holding a value of the wrong shape (a ``ValueError``, such
 as ``--epsilon 0`` or ``--alpha`` on utilitarian), or a file the
 command cannot read or write (an ``OSError``, such as a missing ``--momdp``
 file or a ``--save-cloud`` path in a missing directory), 3 when a solver
-budget was exhausted.  A bad output path fails before any walk.
+budget was exhausted.  Bad output paths and parameter values fail before any walk.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ def _cmd_aggregate(args) -> int:
         params["epsilon"] = args.epsilon
     if args.veto_order:
         params["order"] = [int(t) for t in args.veto_order.split(",")]
-    # fail on a parameter the rule or the walk does not take before making
-    # --out, and on a bad output path before the walk, not after it
+    # fail on a parameter (or value) the rule or the walk does not take before
+    # making --out, and on a bad output path before the walk, not after it
     harness.check_rule(args.rule, params)
     volume.check_walk(args.samples, args.burn_in, args.thinning, args.chains)
     m = load_momdp(args.momdp)

@@ -137,11 +137,14 @@ def _check_params(what: str, fn, inputs: int, params) -> None:
 
 def check_rule(name: str, params) -> None:
     """Raise :class:`ValueError` unless ``name`` is a registered rule that
-    takes every key of ``params``."""
+    takes every key of ``params``, with a value no model rejects."""
     if name not in RULES:
         raise ValueError(f"unknown rule {name!r}; known: {', '.join(RULES)}")
     fn, reads = RULES[name]
     _check_params(f"rule {name!r}", fn, 2 + len(reads), params)
+    for key, check in rules.PARAMETER_CHECKS.get(fn, {}).items():
+        if key in params:
+            check(params[key])
 
 
 def run_rule(name: str, pipe: Pipeline, **params) -> rules.RuleResult:

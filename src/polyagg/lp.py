@@ -19,9 +19,9 @@ occupancy variables plus further variables (a floor, a hypograph, binaries)
 ask it for that many extra columns, which it leaves free.
 
 The LPs with per-agent return floors - :func:`pareto_complete` (every
-rule's completion, utilitarian's LP among them), :func:`feasible` and
-leximin's floor rounds - are solves of one warm model per polytope and
-reward matrix (``_solver.Warm``), kept in the polytope's ``warm_models``.
+rule's completion and max-quantile's level probes, utilitarian's LP among
+them) and leximin's floor rounds - are solves of one warm model per polytope
+and reward matrix (``_solver.Warm``), kept in the polytope's ``warm_models``.
 Its home solve is the welfare LP ``max sum_i <R_i, d>``; each solve changes
 only costs and bounds and starts from the home basis, so its answer does
 not depend on the solves before it.  :func:`home_point` returns the home
@@ -53,9 +53,9 @@ class MilpProgram:
 
     The block follows :meth:`~polyagg.mdp.OccupancyPolytope.program`'s
     convention with the binaries as its extra columns, and its rows are the
-    model: approval's ``tau_i z_i <= <R_i, d>`` ties each binary to its
-    return row, with no big-M constant because normalized returns are
-    nonnegative.
+    model: the rules' level rows ``sum_k step_{i,k} z_{i,k} <= <R_i, d>``
+    tie each agent's binaries to its return, with no big-M constant because
+    normalized returns are nonnegative.
     """
 
     base: OccupancyPolytope
@@ -187,14 +187,6 @@ def home_point(poly: OccupancyPolytope, reward_vectors) -> np.ndarray:
     point of the home solve every warm solve of ``reward_vectors`` starts
     from (the solve runs here if it has not yet)."""
     return _welfare_model(poly, _rewards(poly, reward_vectors)).home.x[:poly.dim].copy()
-
-
-def feasible(poly: OccupancyPolytope, lower_bounds, reward_vectors) -> bool:
-    """Whether some point of the polytope gives every agent
-    ``<R_i, d> >= lower_bounds[i]``."""
-    r = _rewards(poly, reward_vectors)
-    res = _warm_solve(poly, r, _floors(r, lower_bounds), np.zeros(poly.dim + 1))
-    return res.status == _solver.OPTIMAL
 
 
 def pareto_complete(poly: OccupancyPolytope, lower_bounds, reward_vectors) -> OccupancyMeasure:

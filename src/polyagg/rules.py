@@ -110,16 +110,6 @@ class _Stopwatch:
         )
 
 
-def _complete_assignment(poly: OccupancyPolytope, floors, rewards) -> OccupancyMeasure:
-    """Welfare-complete over the return floors an optimal MILP assignment
-    certifies.  The MILP met them, so an empty region is a solver fault
-    (:class:`LpFailure`), not infeasible input."""
-    try:
-        return lp.pareto_complete(poly, floors, rewards)
-    except InfeasibleBounds as exc:
-        raise LpFailure("MILP assignment is infeasible once completed") from exc
-
-
 def _finish(m: Momdp, d: OccupancyMeasure, certificate, watch: _Stopwatch) -> RuleResult:
     returns = m.reward_vectors() @ d.flat
     return RuleResult(
@@ -210,13 +200,20 @@ def veto_core(
     return _finish(m, point, cert, watch)
 
 
-def _levels(epsilon: float) -> int:
+def _levels(epsilon: float, top: float) -> int:
     """The number of steps of the grid {0, eps, ..., 1}; :class:`ValueError`
-    unless 1/eps is a whole number, so that the grid ends at 1."""
+    unless eps lies in (0, top] and 1/eps is whole, so the grid ends at 1."""
+    if not 0.0 < epsilon <= top:
+        raise ValueError(f"epsilon must lie in (0, {top:g}]")
     levels = 1.0 / epsilon
     if abs(levels - round(levels)) > 1e-9:
         raise ValueError("1/epsilon must be an integer")
     return int(round(levels))
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
 
 
 def max_quantile(
@@ -232,38 +229,37 @@ def max_quantile(
     volume); a larger q is better.
 
     Bisects q on the fixed grid {0, eps, 2 eps, ..., 1}, so 1/eps must be a
-    whole number; a level is feasible when the LP region
-    {d : <R_i, d> >= F_i^{-1}(q) for all i} is nonempty.
-    Returns the welfare-maximizing point at the best feasible level.
+    whole number.  Each probe is the welfare completion at its level; the
+    probe at the best feasible level is the outcome (q = 0 is not probed).
     """
-    if epsilon <= 0 or epsilon > 0.5:
-        raise ValueError("epsilon must lie in (0, 0.5]")
-    grid = _levels(epsilon)
+    grid = _levels(epsilon, 0.5)
     watch = _Stopwatch(samples_used=cdfs[0].samples.size)
     rewards = m.reward_vectors()
 
     def thresholds_at(q: float) -> np.ndarray:
         return np.array([volume.quantile_inverse(cdf, q) for cdf in cdfs])
 
-    def feasible_at(q: float) -> bool:
-        return lp.feasible(poly, thresholds_at(q), rewards)
+    def outcome_at(q: float) -> OccupancyMeasure | None:
+        try:
+            return lp.pareto_complete(poly, thresholds_at(q), rewards)
+        except InfeasibleBounds:
+            return None
 
-    infeasible_above = None
-    if feasible_at(1.0):
-        q_star = 1.0
-    else:
-        lo, hi = 0, grid  # q = 0 is always feasible; q = 1 just failed
-        infeasible_above = 1.0
+    q_star, infeasible_above = 1.0, None
+    point = outcome_at(1.0)
+    if point is None:  # q = 0 is always feasible; q = 1 just failed
+        lo, hi, infeasible_above = 0, grid, 1.0
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if feasible_at(mid * epsilon):
-                lo = mid
+            probe = outcome_at(mid * epsilon)
+            if probe is None:
+                hi, infeasible_above = mid, mid * epsilon
             else:
-                hi = mid
-                infeasible_above = mid * epsilon
+                lo, point = mid, probe
         q_star = lo * epsilon
     tau = thresholds_at(q_star)
-    point = lp.pareto_complete(poly, tau, rewards)
+    if point is None:
+        point = lp.pareto_complete(poly, tau, rewards)
     cert = QuantileCertificate(
         q_star=float(q_star),
         thresholds=tuple(float(t) for t in tau),
@@ -272,25 +268,63 @@ def max_quantile(
     return _finish(m, point, cert, watch)
 
 
+def _level_program(poly: OccupancyPolytope, rewards, steps, weights) -> lp.MilpProgram:
+    """The level-indicator MILP of approval, plurality and Borda.
+
+    Agent i's K levels are binaries a_{i,k} at column i K + k, weighted by
+    ``weights[i, k]``, under the monotone rows a_{i,k+1} <= a_{i,k} and one
+    aggregate row ``sum_k steps[i, k] a_{i,k} <= <R_i, d>`` (no big-M:
+    normalized returns are nonnegative).  With the monotone rows it implies
+    every active level's own row, even in the LP relaxation, so an
+    assignment admits exactly the points that give each agent the steps of
+    its active levels.
+    """
+    n, k = steps.shape
+    monotone = np.kron(np.eye(n), np.eye(k - 1, k, 1) - np.eye(k - 1, k))
+    rows = np.block([[np.zeros((n * (k - 1), poly.dim)), monotone],
+                     [-rewards, np.kron(np.eye(n), np.ones((1, k))) * steps.ravel()]])
+    return lp.MilpProgram(base=poly, weights=weights.ravel(), rows=(rows, np.zeros(n * k)))
+
+
+def _level_outcome(m: Momdp, poly: OccupancyPolytope, steps, weights):
+    """The level program's optimal assignment, its score and its welfare
+    completion over the floors of the active levels: each level's cumulative
+    steps less ``COMPLETION_RELAX``.  The MILP starts from ``lp.home_point``
+    and the levels whose floors it meets (the relax keeps a return of 1 on
+    Borda's top level, whose summed steps exceed 1 by an ulp).  The MILP met
+    its floors, so an empty completion is an :class:`LpFailure`."""
+    rewards = m.reward_vectors()
+    home = lp.home_point(poly, rewards)
+    reached = np.cumsum(steps, axis=1) - COMPLETION_RELAX <= (rewards @ home)[:, None]
+    sol = lp.milp_solve(_level_program(poly, rewards, steps, weights),
+                        start=np.concatenate([home, reached.ravel()]))
+    levels = np.reshape(sol.binary_assignment, steps.shape)
+    try:
+        point = lp.pareto_complete(poly, (steps * levels).sum(axis=1) - COMPLETION_RELAX,
+                                   rewards)
+    except InfeasibleBounds as exc:
+        raise LpFailure("MILP assignment is infeasible once completed") from exc
+    return point, levels, sol.objective_value
+
+
+def _approval_thresholds(m: Momdp, cdfs: Sequence[ReturnCdf] | None, alpha: float):
+    _check_alpha(alpha)
+    if alpha >= 1.0:
+        return np.full(m.num_agents, 1.0 - PLURALITY_SLACK)
+    if cdfs is None:
+        raise ValueError("alpha < 1 needs per-agent return CDFs")
+    return np.array([volume.quantile_inverse(cdf, alpha) for cdf in cdfs])
+
+
 def approval_program(
     m: Momdp,
     poly: OccupancyPolytope,
     cdfs: Sequence[ReturnCdf] | None,
     alpha: float,
 ) -> tuple[lp.MilpProgram, np.ndarray]:
-    """The approval indicator program and its per-agent thresholds."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    rewards = m.reward_vectors()
-    n = m.num_agents
-    if alpha >= 1.0:
-        tau = np.full(n, 1.0 - PLURALITY_SLACK)
-    else:
-        if cdfs is None:
-            raise ValueError("alpha < 1 needs per-agent return CDFs")
-        tau = np.array([volume.quantile_inverse(cdfs[i], alpha) for i in range(n)])
-    rows = (np.hstack([-rewards, np.diag(tau)]), np.zeros(n))  # tau_i z_i <= <R_i, d>
-    return lp.MilpProgram(base=poly, weights=np.ones(n), rows=rows), tau
+    """The approval level program and its per-agent thresholds."""
+    tau = _approval_thresholds(m, cdfs, alpha)
+    return _level_program(poly, m.reward_vectors(), tau[:, None], np.ones((tau.size, 1))), tau
 
 
 def alpha_approval(
@@ -301,22 +335,15 @@ def alpha_approval(
 ) -> RuleResult:
     """Maximize the number of agents whose return clears their alpha-quantile.
 
-    Solves the indicator MILP ``max sum_i a_i`` with rows
-    ``a_i * F_i^{-1}(alpha) <= <R_i, d>`` exactly (no big-M: the row is
-    vacuous at a_i = 0 because normalized returns are nonnegative), then
-    welfare-completes with floor F_i^{-1}(alpha) on the approving agents.
+    The level program with one level per agent, of step F_i^{-1}(alpha) and
+    weight 1: ``max sum_i a_i`` subject to ``a_i F_i^{-1}(alpha) <= <R_i, d>``,
+    welfare-completed with floor F_i^{-1}(alpha) on the approving agents.
     Plurality is alpha = 1, whose threshold is 1 - 1e-6 to absorb LP slack.
-    The MILP starts from the agents the welfare optimum (``lp.home_point``)
-    approves.
     """
     watch = _Stopwatch(samples_used=cdfs[0].samples.size if cdfs and alpha < 1.0 else 0)
-    program, tau = approval_program(m, poly, cdfs, alpha)
-    rewards = m.reward_vectors()
-    home = lp.home_point(poly, rewards)
-    approves = tau <= rewards @ home
-    z = lp.milp_solve(program, start=np.concatenate([home, approves])).binary_assignment
-    approving = tuple(i for i, on in enumerate(z) if on)
-    point = _complete_assignment(poly, np.where(z, tau, 0.0), rewards)
+    tau = _approval_thresholds(m, cdfs, alpha)
+    point, levels, _ = _level_outcome(m, poly, tau[:, None], np.ones((tau.size, 1)))
+    approving = tuple(int(i) for i in np.flatnonzero(levels))
     cert = ApprovalCertificate(
         alpha=alpha,
         approving_agents=approving,
@@ -337,50 +364,22 @@ def borda_milp(
     cdfs: Sequence[ReturnCdf],
     epsilon: float = 0.05,
 ) -> RuleResult:
-    """Approximate Borda winner via level-indicator MILP.
+    """Approximate Borda winner via the level program.
 
-    For each agent, 1/eps binaries a_{i,k} mark the eps-rounded return levels
-    (k + 1) eps; the objective weights each indicator by the cdf increment
-    F_i((k + 1) eps) - F_i(k eps), so the optimum attains at least the best
-    Borda score among eps-rounded return vectors.  The rows are the monotone
-    a_{i,k+1} <= a_{i,k} and per agent the aggregate
-    eps * sum_k a_{i,k} <= <R_i, d>.  They imply each level's own row
-    (k + 1) eps a_{i,k} <= <R_i, d>, even in the LP relaxation: the monotone
-    rows give (k + 1) a_{i,k} <= sum_j a_{i,j}.  So an assignment with L_i
-    active levels admits exactly the points with <R_i, d> >= L_i eps, the
-    relaxation is the step functions' concave envelope, and the outcome is
-    the welfare-maximal point: a function of the assignment.  The MILP
-    starts from the welfare optimum (``lp.home_point``) and the
-    ``floor(<R_i, d>/eps)`` levels it reaches.
+    Each agent has 1/eps levels of step eps, level k marking the rounded
+    return (k + 1) eps with weight F_i((k + 1) eps) - F_i(k eps), so the
+    optimum attains at least the best Borda score among eps-rounded return
+    vectors; the relaxation is the step functions' concave envelope.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
-    k_max = _levels(epsilon)
+    k_max = _levels(epsilon, 1.0)
     watch = _Stopwatch(samples_used=cdfs[0].samples.size)
-    rewards = m.reward_vectors()
-    n = m.num_agents
-
     grid = np.arange(k_max + 1) * epsilon
     weights = np.diff([cdf.evaluate(grid) for cdf in cdfs], axis=1)  # [agent, level]
-    # binary (i, k) sits at i * k_max + k; the rows over [d ; a] are the
-    # monotone rows, then the aggregate rows
-    monotone = np.eye(k_max - 1, k_max, 1) - np.eye(k_max - 1, k_max)
-    rows = (np.block([[np.zeros((n * (k_max - 1), poly.dim)), np.kron(np.eye(n), monotone)],
-                      [-rewards, np.kron(np.eye(n), np.full((1, k_max), epsilon))]]),
-            np.zeros(n * k_max))
-    program = lp.MilpProgram(base=poly, weights=weights.ravel(), rows=rows)
-    home = lp.home_point(poly, rewards)
-    reached = np.clip(np.floor(rewards @ home / epsilon), 0, k_max)
-    start = np.concatenate([home, (np.arange(k_max) < reached[:, None]).ravel()])
-    sol = lp.milp_solve(program, start=start)
-    z = sol.binary_assignment
-    indicators = tuple(z[i * k_max:(i + 1) * k_max] for i in range(n))
-    active = np.array([sum(row) for row in indicators])
-    point = _complete_assignment(poly, epsilon * active - COMPLETION_RELAX, rewards)
+    point, levels, score = _level_outcome(m, poly, np.full(weights.shape, epsilon), weights)
     cert = BordaCertificate(
         epsilon=epsilon,
-        level_indicators=indicators,
-        rounded_score=float(sol.objective_value),
+        level_indicators=tuple(tuple(row) for row in levels.tolist()),
+        rounded_score=float(score),
         weights=tuple(tuple(float(w) for w in row) for row in weights),
     )
     return _finish(m, point, cert, watch)
@@ -396,16 +395,14 @@ def borda_concave(
     There each F_i is concave, so maximizing ``sum_i F_i(<R_i, d>)`` becomes
     one LP over hypograph variables bounded by the piecewise-linear concave
     upper envelope of F_i sampled at ``CONCAVE_KNOTS`` points on [mode_i, 1].
-    Raises :class:`ConcaveRegionEmpty` when no policy clears every mode
+    Raises :class:`ConcaveRegionEmpty` when no policy clears every mode, that
+    is when the LP, whose rows include <R_i, d> >= mode_i, has no point
     (callers should fall back to the MILP variant).
     """
     watch = _Stopwatch(samples_used=cdfs[0].samples.size)
     rewards = m.reward_vectors()
     n = m.num_agents
     modes = np.array([volume.mode_estimate(cdf) for cdf in cdfs])
-    if not lp.feasible(poly, modes, rewards):
-        raise ConcaveRegionEmpty("no policy reaches every agent's density mode")
-
     # variables [d ; t]: t_i <= slope * <R_i, d> + intercept on each segment
     # of agent i's envelope, and <R_i, d> >= mode_i
     segments = [_concave_envelope(cdfs[i], modes[i]) for i in range(n)]
@@ -417,8 +414,8 @@ def borda_concave(
             np.concatenate([mode_b, intercept]))
     c = np.concatenate([np.zeros(poly.dim), -np.ones(n)])
     res = _solver.lp(c, *poly.program(rows, n))
-    if res.status != _solver.OPTIMAL:
-        raise LpFailure("concave Borda LP did not solve")
+    if res.status == _solver.INFEASIBLE:
+        raise ConcaveRegionEmpty("no policy reaches every agent's density mode")
     achieved = rewards @ res.x[:poly.dim]
     point = lp.pareto_complete(poly, achieved - COMPLETION_RELAX, rewards)
     score = float(sum(cdfs[i].evaluate(float(rewards[i] @ point.flat)) for i in range(n)))
@@ -428,6 +425,15 @@ def borda_concave(
         score=score,
     )
     return _finish(m, point, cert, watch)
+
+
+# rule parameter checks that need no model, which harness.check_rule runs
+# before any walk (veto-core's epsilon and order need the agent count)
+PARAMETER_CHECKS = {
+    max_quantile: {"epsilon": lambda epsilon: _levels(epsilon, 0.5)},
+    alpha_approval: {"alpha": _check_alpha},
+    borda_milp: {"epsilon": lambda epsilon: _levels(epsilon, 1.0)},
+}
 
 
 def _concave_envelope(cdf: ReturnCdf, mode: float):

@@ -51,9 +51,6 @@ class HullChart:
     def to_ambient(self, y: np.ndarray) -> np.ndarray:
         return np.asarray(y, dtype=float) @ self.basis.T + self.origin
 
-    def to_intrinsic(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.origin)[..., self.free]
-
 
 @dataclass(frozen=True)
 class WalkParams:

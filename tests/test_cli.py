@@ -117,6 +117,26 @@ class TestAggregate:
                                            "parameter 'alpha'; accepted: none\n")
         assert not (tmp_path / "t").exists()
 
+    @pytest.mark.parametrize("rule, flag, value, message", [
+        ("max-quantile", "--epsilon", 0.3, "1/epsilon must be an integer"),
+        ("max-quantile", "--epsilon", 0.6, "epsilon must lie in (0, 0.5]"),
+        ("borda-milp", "--epsilon", 0.3, "1/epsilon must be an integer"),
+        ("approval", "--alpha", 1.5, "alpha must lie in (0, 1]"),
+    ])
+    def test_parameter_value_out_of_range_fails_before_the_walk(
+            self, tmp_path, capsys, monkeypatch, rule, flag, value, message):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked before the rule parameters were checked")
+
+        monkeypatch.setattr(volume, "sample_uniform", no_walk)
+        momdp = tmp_path / "m.json"
+        run_cli("gen", "simplex", "--actions", 3, "--out", momdp)
+        code = run_cli("aggregate", "--momdp", momdp, "--rule", rule, flag, value,
+                       "--seed", 1, "--samples", 500, "--out", tmp_path / "p")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not (tmp_path / "p").exists()
+
     def test_momdp_missing_key_exit_code(self, tmp_path, capsys):
         doc = json.loads(pa.momdp_to_json(pa.gen_simplex_instance(2)))
         del doc["criterion"]
@@ -288,6 +308,23 @@ class TestExperiment:
         assert code == 2
         assert capsys.readouterr().err == ("error: ValueError: rule 'max-quantile' takes no "
                                            "parameter 'eps'; accepted: epsilon\n")
+        assert not (tmp_path / "r").exists()
+
+    def test_spec_rule_parameter_out_of_range_fails_before_the_walk(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked before the rule parameters were checked")
+
+        monkeypatch.setattr(volume, "sample_uniform", no_walk)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "source": {"generator": "simplex", "params": {"actions": 3}}, "seed": 1,
+            "samples": 500, "rules": [{"name": "utilitarian"},
+                                      {"name": "max-quantile", "epsilon": 0.3}],
+        }))
+        code = run_cli("experiment", "--spec", spec_path, "--out", tmp_path / "r")
+        assert code == 2
+        assert capsys.readouterr().err == "error: ValueError: 1/epsilon must be an integer\n"
         assert not (tmp_path / "r").exists()
 
     def test_spec_source_without_generator_exit_code(self, tmp_path, capsys):

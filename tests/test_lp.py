@@ -302,10 +302,12 @@ class TestWarmModel:
             pipe = on_fresh_polytope(pipe)
             run_configs(pipe)
             r = pipe.model.reward_vectors()
-            above_every_maximum = np.full(r.shape[0], 1.01)
-            assert not lp.feasible(pipe.poly, above_every_maximum, r)
-            with pytest.raises(pa.InfeasibleBounds):
-                lp.pareto_complete(pipe.poly, above_every_maximum, r)
+            # every agent's floor above its maximum, all at once and one
+            # agent at a time
+            n = r.shape[0]
+            for floors in (np.full(n, 1.01), *np.where(np.eye(n, dtype=bool), 1.01, 0.0)):
+                with pytest.raises(pa.InfeasibleBounds):
+                    lp.pareto_complete(pipe.poly, floors, r)
         infeasible = 0
         for args, res in solves:
             ref = _solver.lp(*args)
@@ -361,7 +363,6 @@ class TestWarmModel:
         r = simplex3.reward_vectors()
         floors = [np.nan, 0.0, 0.0]
         for call in (lambda: lp.pareto_complete(simplex3_poly, floors, r),
-                     lambda: lp.feasible(simplex3_poly, floors, r),
                      lambda: lp.lower_bound_rows(r, floors)):
             with pytest.raises(ValueError, match="NaN"):
                 call()
@@ -372,7 +373,6 @@ class TestWarmModel:
     def test_infinite_floor_is_infeasible(self, simplex3, simplex3_poly):
         r = simplex3.reward_vectors()
         floors = [np.inf, 0.0, 0.0]
-        assert not lp.feasible(simplex3_poly, floors, r)
         with pytest.raises(pa.InfeasibleBounds):
             lp.pareto_complete(simplex3_poly, floors, r)
 

@@ -35,6 +35,15 @@ def volumetric_pipes():
     return [harness.prepare(m, SAMPLES, seed=7) for m in models]
 
 
+def completes(poly, floors, rewards) -> bool:
+    """Whether the welfare completion at ``floors`` has a point."""
+    try:
+        lp.pareto_complete(poly, floors, rewards)
+    except pa.InfeasibleBounds:
+        return False
+    return True
+
+
 def borda_score(result, cdfs, rewards):
     return float(sum(
         cdfs[i].evaluate(float(rewards[i] @ result.occupancy.flat))
@@ -217,7 +226,7 @@ class TestMaxQuantile:
             cdfs, r = list(pipe.cdfs), pipe.model.reward_vectors()
             levels = [k * epsilon for k in range(round(1 / epsilon))] + [1.0]
             feasible = [q for q in levels
-                        if lp.feasible(pipe.poly, [pa.quantile_inverse(c, q) for c in cdfs], r)]
+                        if completes(pipe.poly, [pa.quantile_inverse(c, q) for c in cdfs], r)]
             res = pa.max_quantile(pipe.model, pipe.poly, cdfs, epsilon=epsilon)
             assert res.certificate.q_star == max(feasible)
 
@@ -471,14 +480,22 @@ class TestMilpCompletion:
     its assignment once, from the return floors the assignment certifies."""
 
     @pytest.mark.parametrize("seed", [501, 502, 503])
-    def test_borda_outcome_is_welfare_optimum_of_its_levels(self, seed):
+    @pytest.mark.parametrize("rule, params", [
+        ("borda-milp", {"epsilon": 0.1}), ("approval", {"alpha": 0.9}), ("plurality", {})],
+        ids=["borda-milp", "approval", "plurality"])
+    def test_outcome_is_welfare_optimum_of_its_levels(self, seed, rule, params):
         pipe = harness.prepare(pa.random_momdp(4, 3, 4, seed=seed), 20_000, seed=7)
         r = pipe.model.reward_vectors()
-        res = pa.borda_milp(pipe.model, pipe.poly, list(pipe.cdfs), epsilon=0.1)
-        levels = np.array([sum(row) for row in res.certificate.level_indicators])
-        # the rule's floors: eps per active level, less COMPLETION_RELAX (whose
-        # 1e-9 moves welfare by up to ~1e-8 through the floors' duals)
-        best = pa.pareto_complete(pipe.poly, 0.1 * levels - rules.COMPLETION_RELAX, r)
+        res = harness.run_rule(rule, pipe, **params)
+        cert = res.certificate
+        if rule == "borda-milp":   # eps per active level
+            floors = 0.1 * np.array([sum(row) for row in cert.level_indicators])
+        else:                      # the threshold of each approving agent
+            approves = np.isin(np.arange(r.shape[0]), cert.approving_agents)
+            floors = np.where(approves, cert.thresholds, 0.0)
+        # the rule's floors less COMPLETION_RELAX, whose 1e-9 moves welfare by
+        # up to ~1e-8 through the floors' duals
+        best = pa.pareto_complete(pipe.poly, floors - rules.COMPLETION_RELAX, r)
         assert res.returns.sum() == pytest.approx(float((r @ best.flat).sum()), abs=1e-9)
 
     @pytest.mark.parametrize("rule, params", [
