@@ -7,11 +7,13 @@ Subcommands:
 
 Exit codes: 0 on success, 2 for infeasible or degenerate input, a parameter
 out of range, a parameter the rule does not take, or a JSON file missing a
-required key or holding a value of the wrong shape (a ``ValueError``, such
-as ``--epsilon 0`` or ``--alpha`` on utilitarian), or a file the
-command cannot read or write (an ``OSError``, such as a missing ``--momdp``
-file or a ``--save-cloud`` path in a missing directory), 3 when a solver
-budget was exhausted.  Bad output paths and parameter values fail before any walk.
+required key, holding a key it does not declare or a value of the wrong
+shape (a ``ValueError``, such as ``--epsilon 0`` or ``--alpha`` on
+utilitarian), or a file the command cannot read or write (an ``OSError``,
+such as a missing ``--momdp`` file or a ``--save-cloud`` path in a missing
+directory), 3 when a solver budget was exhausted.  Bad output paths and
+parameter values fail before any walk, and a failed ``aggregate`` leaves no
+``--out`` directory it made.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import shutil
 import sys
 
 from . import harness, instances, volume
@@ -85,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     agg.add_argument("--samples", type=int, default=harness.DEFAULT_SAMPLES)
     agg.add_argument("--burn-in", type=int)
     agg.add_argument("--thinning", type=int)
-    agg.add_argument("--chains", type=int, default=volume.DEFAULT_CHAINS)
     agg.add_argument("--cdf", choices=[volume.EMPIRICAL, volume.LOGISTIC],
                      default=volume.EMPIRICAL)
     agg.add_argument("--veto-order", type=str,
@@ -132,15 +134,29 @@ def _cmd_aggregate(args) -> int:
     # fail on a parameter (or value) the rule or the walk does not take before
     # making --out, and on a bad output path before the walk, not after it
     harness.check_rule(args.rule, params)
-    volume.check_walk(args.samples, args.burn_in, args.thinning, args.chains)
+    volume.check_walk(args.samples, args.burn_in, args.thinning)
     m = load_momdp(args.momdp)
+    # the outermost directory of --out that this command makes: a failed
+    # command removes it again, with whatever it wrote there
+    made = next((p for p in (*reversed(args.out.parents), args.out) if not p.exists()), None)
+    try:
+        _write_aggregate(args, m, params)
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
+    print(f"wrote {args.out / 'result.json'}")
+    return 0
+
+
+def _write_aggregate(args, m, params) -> None:
+    """Make --out, touch --save-cloud, then walk, run the rule and write
+    the cloud and ``result.json``."""
     args.out.mkdir(parents=True, exist_ok=True)
     if args.save_cloud:
         args.save_cloud.open("a").close()
-    pipe = harness.prepare(
-        m, args.samples, args.seed, cdf_kind=args.cdf,
-        burn_in=args.burn_in, thinning=args.thinning, chains=args.chains,
-    )
+    pipe = harness.prepare(m, args.samples, args.seed, cdf_kind=args.cdf,
+                           burn_in=args.burn_in, thinning=args.thinning)
     if args.save_cloud:
         volume.save_cloud(pipe.cloud, args.save_cloud)
     result = harness.run_rule(args.rule, pipe, **params)
@@ -158,8 +174,6 @@ def _cmd_aggregate(args) -> int:
         "result": harness.result_doc(result),
     }
     (args.out / "result.json").write_text(json.dumps(doc, indent=2))
-    print(f"wrote {args.out / 'result.json'}")
-    return 0
 
 
 def _cmd_experiment(args) -> int:

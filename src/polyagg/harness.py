@@ -79,7 +79,7 @@ class Pipeline:
     model: Momdp                    # normalized rewards
     dropped_agents: tuple[int, ...]
     poly: OccupancyPolytope
-    walk: dict  # sample_uniform's count, seed, burn_in, thinning and chains
+    walk: dict  # sample_uniform's count, seed, burn_in and thinning
     cdf_kind: str = volume.EMPIRICAL
 
     @cached_property
@@ -88,20 +88,19 @@ class Pipeline:
 
     @cached_property
     def cdfs(self) -> tuple[volume.ReturnCdf, ...]:
-        return tuple(volume.estimate_cdf(self.cloud, self.model.rewards[i],
-                                         kind=self.cdf_kind, agent=i)
-                     for i in range(self.model.num_agents))
+        return tuple(volume.estimate_cdf(self.cloud, r, kind=self.cdf_kind)
+                     for r in self.model.rewards)
 
 
 def prepare(m: Momdp, samples: int, seed: int, cdf_kind: str = volume.EMPIRICAL,
-            burn_in: int | None = None, thinning: int | None = None,
-            chains: int = volume.DEFAULT_CHAINS) -> Pipeline:
-    """Check the walk parameters, normalize and build the polytope."""
-    volume.check_walk(samples, burn_in, thinning, chains)
+            burn_in: int | None = None, thinning: int | None = None) -> Pipeline:
+    """Check the walk parameters, normalize and build the polytope; the walk,
+    when a rule reads it, runs ``volume.CHAINS`` chains."""
+    volume.check_walk(samples, burn_in, thinning)
     poly = build_polytope(m)
     model, dropped = normalize_rewards(m, poly)
     lp.home_point(poly, model.reward_vectors())  # the home solve every rule's LPs start from
-    walk = dict(count=samples, seed=seed, burn_in=burn_in, thinning=thinning, chains=chains)
+    walk = dict(count=samples, seed=seed, burn_in=burn_in, thinning=thinning)
     return Pipeline(model, tuple(dropped), poly, walk, cdf_kind)
 
 
@@ -124,15 +123,20 @@ def _check_params(what: str, fn, inputs: int, params) -> None:
     """Raise :class:`ValueError` unless ``params`` holds every required and no
     other parameter of ``fn`` after its first ``inputs`` arguments."""
     taken = list(inspect.signature(fn).parameters.values())[inputs:]
-    accepted = ", ".join(p.name for p in taken) or "none"
-    unknown = sorted(set(params) - {p.name for p in taken})
-    if unknown:
-        raise ValueError(f"{what} takes no parameter {', '.join(map(repr, unknown))}; "
-                         f"accepted: {accepted}")
+    _reject_unknown(f"{what} takes no parameter", params, [p.name for p in taken])
     missing = [p.name for p in taken if p.default is p.empty and p.name not in params]
     if missing:
         raise ValueError(f"{what} needs parameter {', '.join(map(repr, missing))}; "
-                         f"accepted: {accepted}")
+                         f"accepted: {', '.join(p.name for p in taken) or 'none'}")
+
+
+def _reject_unknown(message: str, given, accepted) -> None:
+    """Raise :class:`ValueError` with ``message``, the keys of ``given`` that
+    are not in ``accepted``, and the accepted keys, if there are any such."""
+    unknown = sorted(set(given) - set(accepted))
+    if unknown:
+        raise ValueError(f"{message} {', '.join(map(repr, unknown))}; "
+                         f"accepted: {', '.join(accepted) or 'none'}")
 
 
 def check_rule(name: str, params) -> None:
@@ -185,24 +189,25 @@ class ExperimentSpec:
     cdf_kind: str = volume.EMPIRICAL
     burn_in: int | None = None
     thinning: int | None = None
-    chains: int = volume.DEFAULT_CHAINS
     record_runtime: bool = False
 
     def __post_init__(self):
         if self.seed is None:
             raise ValueError("an experiment seed is mandatory")
         _check_source(self.source)
-        volume.check_walk(self.samples, self.burn_in, self.thinning, self.chains)
+        volume.check_walk(self.samples, self.burn_in, self.thinning)
         object.__setattr__(self, "rules", tuple(self.rules))
 
     @staticmethod
     def from_json(text: str) -> "ExperimentSpec":
-        """Parse spec JSON; a missing key or a value of the wrong shape
-        raises :class:`ValueError` naming the key."""
+        """Parse spec JSON; a missing key, a key that is not a spec field's
+        or a value of the wrong shape raises :class:`ValueError` naming the
+        key."""
         doc = json.loads(text)
         # a field without a default is looked up even when absent
         kwargs = {f.name: _json_field(doc, key, "experiment spec", _JSON_CASTS.get(f.type))
                   for f, key in _spec_fields() if f.default is MISSING or key in doc}
+        _reject_unknown("experiment spec takes no key", doc, [key for _, key in _spec_fields()])
         kwargs["rules"] = _json_field(doc, "rules", "experiment spec", _rule_specs)
         return ExperimentSpec(**kwargs)
 
@@ -271,10 +276,7 @@ def _check_source(source) -> None:
         raise ValueError("experiment spec source lacks the key 'file' or 'generator'; "
                          f"got: {got or 'none'}")
     keys = ("file",) if "file" in source else ("generator", "params")
-    unknown = sorted(set(source) - set(keys))
-    if unknown:
-        raise ValueError(f"experiment spec source takes no key {', '.join(map(repr, unknown))}; "
-                         f"accepted: {', '.join(keys)}")
+    _reject_unknown("experiment spec source takes no key", source, keys)
     if "generator" in source:
         gen, params = source["generator"], source.get("params", {})
         if not isinstance(gen, str) or gen not in GENERATORS:
@@ -306,8 +308,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
         try:
             m = _instantiate(spec.source, instance_seed)
             pipe = prepare(m, spec.samples, instance_seed, cdf_kind=spec.cdf_kind,
-                           burn_in=spec.burn_in, thinning=spec.thinning,
-                           chains=spec.chains)
+                           burn_in=spec.burn_in, thinning=spec.thinning)
             for attr in reads:  # the walk runs here, before the first rule
                 getattr(pipe, attr)
         except PolyaggError as exc:
@@ -438,22 +439,6 @@ def _render_json(spec, rows, aggregates, failures, results_doc) -> str:
         "results": results_doc,
     }
     return json.dumps(doc, indent=2)
-
-
-def load_metrics_json(text: str) -> list[MetricsRow]:
-    """Rebuild MetricsRows from an emitted JSON report."""
-    doc = json.loads(text)
-    return [
-        MetricsRow(
-            rule=entry["rule"],
-            instance_seed=entry["seed"],
-            returns=tuple(entry["returns"]),
-            gini=entry["gini"],
-            nash=entry["nash"],
-            runtime=entry.get("runtime", 0.0),
-        )
-        for entry in doc["metrics"]
-    ]
 
 
 def write_experiment(spec: ExperimentSpec, out_dir) -> ExperimentOutput:

@@ -105,11 +105,17 @@ def _measure_from_vector(x: np.ndarray, poly: OccupancyPolytope) -> OccupancyMea
     HiGHS keeps primal feasibility to about 1e-7, so entries may dip that far
     below zero; anything worse means a genuinely broken solve.  Clamping many
     such entries adds up to more mass than the unit-mass tolerance allows, so
-    the clamped point is rescaled to unit mass.
+    the clamped point is rescaled to unit mass.  A point off unit mass by more
+    than ``FEAS_TOL`` before clamping is no occupancy measure: a polytope
+    without the unit-mass row raises :class:`ValueError` rather than have its
+    optimum rescaled to another point.
     """
     x = np.asarray(x, dtype=float)
     if float(x.min(initial=0.0)) < -FEAS_TOL:
         raise LpFailure("LP point violates nonnegativity beyond solver tolerance")
+    if abs(x.sum() - 1.0) > FEAS_TOL:
+        raise ValueError(f"LP point has mass {x.sum():.9g}, not 1: "
+                         "the polytope is not an occupancy polytope")
     x = np.clip(x, 0.0, None)
     shape = poly.table_shape or (1, poly.dim)
     return OccupancyMeasure(table=(x / x.sum()).reshape(shape))
@@ -124,12 +130,6 @@ def _floors(r: np.ndarray, bounds) -> np.ndarray:
     if np.isnan(b).any():
         raise ValueError("return lower bounds must not be NaN")
     return b
-
-
-def lower_bound_rows(reward_vectors, bounds):
-    """The block ``(-r, -b)`` encoding <R_i, d> >= b_i."""
-    r = np.asarray(reward_vectors, dtype=float)
-    return -r, -_floors(r, bounds)
 
 
 # --- the warm welfare model ---------------------------------------------------

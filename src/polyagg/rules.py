@@ -408,10 +408,9 @@ def borda_concave(
     segments = [_concave_envelope(cdfs[i], modes[i]) for i in range(n)]
     agent = np.repeat(np.arange(n), [len(seg) for seg in segments])
     slope, intercept = np.concatenate(segments).T
-    mode_a, mode_b = lp.lower_bound_rows(rewards, modes)
-    rows = (np.vstack([np.hstack([mode_a, np.zeros((n, n))]),
+    rows = (np.vstack([np.hstack([-rewards, np.zeros((n, n))]),
                        np.hstack([-slope[:, None] * rewards[agent], np.eye(n)[agent]])]),
-            np.concatenate([mode_b, intercept]))
+            np.concatenate([-modes, intercept]))
     c = np.concatenate([np.zeros(poly.dim), -np.ones(n)])
     res = _solver.lp(c, *poly.program(rows, n))
     if res.status == _solver.INFEASIBLE:

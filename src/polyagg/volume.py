@@ -27,7 +27,7 @@ EMPIRICAL = "empirical"
 LOGISTIC = "logistic"
 
 INTERIOR_TOL = 1e-10      # minimum Chebyshev radius before degeneracy
-DEFAULT_CHAINS = 64
+CHAINS = 64               # lockstep walkers of every walk
 LOGISTIC_MAX_DEV = 0.05   # reject a fit whose cdf deviates more than this
 SWEEP_BLOCK_STEPS = 4096  # walk steps per block of random draws, before rounding
 AXIS_ZERO_TOL = 1e-14     # chart-axis entries this small never bound a chord
@@ -57,7 +57,7 @@ class WalkParams:
     burn_in: int
     thinning: int
     count: int
-    chains: int = DEFAULT_CHAINS
+    chains: int = CHAINS
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +131,6 @@ class ReturnCdf:
     caller's array is never reordered.
     """
 
-    agent: int | str
     kind: str
     samples: np.ndarray
     params: tuple[float, float, float] | None = None
@@ -298,15 +297,13 @@ def _chebyshev_origin(poly, a_eq, b_eq, basis, particular):
     return particular + basis @ (basis.T @ (res.x[:n] - particular)), radius, tight
 
 
-def check_walk(count: int, burn_in: int | None = None, thinning: int | None = None,
-               chains: int = DEFAULT_CHAINS) -> None:
+def check_walk(count: int, burn_in: int | None = None, thinning: int | None = None) -> None:
     """Raise :class:`ValueError` on walk parameters no walk takes: fewer than
-    one sample, one chain or a thinning of one, or a negative burn-in
-    (``None`` leaves a default to :func:`sample_uniform`)."""
+    one sample or a thinning of one, or a negative burn-in (``None`` leaves
+    a default to :func:`sample_uniform`)."""
     if count < 1:
         raise ValueError("count must be positive")
-    if ((burn_in is not None and int(burn_in) < 0)
-            or (thinning is not None and int(thinning) < 1) or chains < 1):
+    if (burn_in is not None and int(burn_in) < 0) or (thinning is not None and int(thinning) < 1):
         raise ValueError("bad walk parameters")
 
 
@@ -317,23 +314,22 @@ def sample_uniform(
     seed: int,
     burn_in: int | None = None,
     thinning: int | None = None,
-    chains: int = DEFAULT_CHAINS,
 ) -> SampleCloud:
     """Asymptotically uniform samples via coordinate hit-and-run on the hull.
 
-    Runs ``chains`` walkers in lockstep from the chart origin under a single
-    seeded generator.  Every step moves all chains along the same chart axis
-    to a uniform point of each chain's chord through the polytope; the axes
-    come in sweeps, each a fresh random permutation of the ``dim`` axes,
-    starting at step 0.  After ``burn_in`` steps (default 1000 * dim, i.e.
-    1,000 sweeps) every ``thinning``-th state (default dim, one sweep per
-    record) is recorded per chain; the cloud concatenates the chains'
-    records in chain-major order and truncates to ``count``.  Records are
-    written straight into a ``(chains, per_chain, dim)`` array, so the
-    concatenation and the truncation are views.  The cloud keeps those
-    chart coordinates as its ``coords``, read-only and neither copied nor
-    mapped to ambient coordinates, so a walk's peak is the records plus the
-    walk's own working arrays.
+    Runs ``CHAINS`` (64) walkers in lockstep from the chart origin under a
+    single seeded generator.  Every step moves all chains along the same
+    chart axis to a uniform point of each chain's chord through the
+    polytope; the axes come in sweeps, each a fresh random permutation of
+    the ``dim`` axes, starting at step 0.  After ``burn_in`` steps (default
+    1000 * dim, i.e. 1,000 sweeps) every ``thinning``-th state (default dim,
+    one sweep per record) is recorded per chain; the cloud concatenates the
+    chains' records in chain-major order and truncates to ``count``.
+    Records are written straight into a ``(chains, per_chain, dim)`` array,
+    so the concatenation and the truncation are views.  The cloud keeps
+    those chart coordinates as its ``coords``, read-only and neither copied
+    nor mapped to ambient coordinates, so a walk's peak is the records plus
+    the walk's own working arrays.
 
     A step gathers the axis's rows of the ``(rows, chains)`` slack matrix,
     reduces them to each chain's chord, and updates the slack by one BLAS
@@ -344,7 +340,7 @@ def sample_uniform(
     A zero-dimensional chart cannot be walked: the cloud holds ``count``
     empty coordinate rows, each the chart origin, and is flagged degenerate.
     """
-    check_walk(count, burn_in, thinning, chains)
+    check_walk(count, burn_in, thinning)
     dim = chart.dim
     if dim == 0:
         params = WalkParams(burn_in=0, thinning=1, count=count, chains=1)
@@ -354,7 +350,7 @@ def sample_uniform(
                            table_shape=poly.table_shape)
     burn_in = 1000 * dim if burn_in is None else int(burn_in)
     thinning = dim if thinning is None else int(thinning)
-    params = WalkParams(burn_in=burn_in, thinning=thinning, count=count, chains=chains)
+    params = WalkParams(burn_in=burn_in, thinning=thinning, count=count)
 
     gy, hy = _intrinsic_inequalities(poly, chart.basis, chart.origin)
     keep = np.linalg.norm(gy, axis=1) > 1e-12
@@ -363,16 +359,16 @@ def sample_uniform(
         raise DegeneratePolytope("chart origin is not interior to the polytope")
 
     rng = np.random.default_rng(seed)
-    per_chain = -(-count // chains)
+    per_chain = -(-count // CHAINS)
     total_steps = burn_in + per_chain * thinning
     block = -(-SWEEP_BLOCK_STEPS // dim) * dim   # whole sweeps per draw
-    y = np.zeros((dim, chains))
-    slack = np.tile(hy[:, None], (1, chains))    # (rows, chains), C order
+    y = np.zeros((dim, CHAINS))
+    slack = np.tile(hy[:, None], (1, CHAINS))    # (rows, chains), C order
     slack_f = slack.T                            # the Fortran view dger writes through
-    records = np.empty((chains, per_chain, dim))
-    ratio = np.empty((gy.shape[0], chains))
-    t, t_hi, t_lo = np.empty(chains), np.empty(chains), np.empty(chains)
-    empty = np.empty(chains, dtype=bool)
+    records = np.empty((CHAINS, per_chain, dim))
+    ratio = np.empty((gy.shape[0], CHAINS))
+    t, t_hi, t_lo = np.empty(CHAINS), np.empty(CHAINS), np.empty(CHAINS)
+    empty = np.empty(CHAINS, dtype=bool)
     # per axis: its rows and their inverse entries, the gathered ratios and
     # their upper- and lower-bound halves as views, its row of y, its column
     axes = []
@@ -391,7 +387,7 @@ def sample_uniform(
         if j == 0:
             sweeps = np.tile(np.arange(dim), (block // dim, 1))
             order = rng.permuted(sweeps, axis=1).ravel().tolist()
-            uniforms = list(rng.random((block, chains)))
+            uniforms = list(rng.random((block, CHAINS)))
         rows, inv, r, r_hi, r_lo, y_k, col = axes[order[j]]
         take(rows, axis=0, out=r, mode="clip")
         multiply(r, inv, r)
@@ -413,7 +409,7 @@ def sample_uniform(
             rec += 1
             next_record += thinning
     # chain-major records: the reshape and the truncation are views
-    coords = _seal(records).reshape(chains * per_chain, dim)[:count]
+    coords = _seal(records).reshape(CHAINS * per_chain, dim)[:count]
     return SampleCloud(coords=coords, chart=chart, seed=seed, walk_params=params,
                        table_shape=poly.table_shape)
 
@@ -451,8 +447,7 @@ def vol_fraction(cloud: SampleCloud, halfspace) -> FractionEstimate:
     return FractionEstimate(fraction=frac, std_error=se, count=n)
 
 
-def estimate_cdf(cloud: SampleCloud, reward_table, kind: str = EMPIRICAL,
-                 agent: int | str = 0) -> ReturnCdf:
+def estimate_cdf(cloud: SampleCloud, reward_table, kind: str = EMPIRICAL) -> ReturnCdf:
     """Estimate one agent's return cdf from the shared cloud.
 
     The empirical kind evaluates by midpoint rank over the sorted sample
@@ -465,13 +460,13 @@ def estimate_cdf(cloud: SampleCloud, reward_table, kind: str = EMPIRICAL,
         raise ValueError(f"unknown cdf kind {kind!r}")
     returns = cloud.returns(reward_table)   # a fresh vector: sort it in place
     returns.sort()
-    empirical = ReturnCdf(agent=agent, kind=EMPIRICAL, samples=_seal(returns))
+    empirical = ReturnCdf(kind=EMPIRICAL, samples=_seal(returns))
     if kind == EMPIRICAL:
         return empirical
     values = empirical.samples
     params = _fit_generalized_logistic(values)
     if params is not None:
-        fitted = ReturnCdf(agent=agent, kind=LOGISTIC, samples=values, params=params)
+        fitted = ReturnCdf(kind=LOGISTIC, samples=values, params=params)
         if _logistic_fit_acceptable(fitted, values):
             return fitted
     return empirical

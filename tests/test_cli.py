@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import polyagg as pa
-from polyagg import harness, volume
+from polyagg import harness, rules, volume
 from polyagg.cli import main
 
 
@@ -171,10 +171,31 @@ class TestAggregate:
         momdp = tmp_path / "m.json"
         run_cli("gen", "simplex", "--actions", 2, "--out", momdp)
         code = run_cli("aggregate", "--momdp", momdp, "--rule", "utilitarian",
-                       "--seed", 1, "--samples", 500, "--out", tmp_path / "u",
+                       "--seed", 1, "--samples", 500, "--out", tmp_path / "u" / "v",
                        "--save-cloud", tmp_path / "nodir" / "c.csv")
         assert code == 2
         assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
+        assert not (tmp_path / "u").exists()   # nor the parent --out made
+
+    def test_failed_rule_leaves_no_out_it_made(self, tmp_path, capsys, monkeypatch):
+        def infeasible(*args, **kwargs):
+            raise pa.InfeasibleBounds("no policy meets all return lower bounds")
+
+        monkeypatch.setattr(rules, "max_quantile", infeasible)
+        momdp = tmp_path / "m.json"
+        run_cli("gen", "simplex", "--actions", 3, "--out", momdp)
+        (tmp_path / "kept").mkdir()
+        for out in (tmp_path / "r", tmp_path / "kept"):
+            code = run_cli("aggregate", "--momdp", momdp, "--rule", "max-quantile",
+                           "--seed", 1, "--samples", 500, "--out", out,
+                           "--save-cloud", out / "c.csv")
+            assert code == 2
+            assert capsys.readouterr().err == ("error: InfeasibleBounds: no policy meets "
+                                               "all return lower bounds\n")
+        # the walk ran and the cloud was written, but only the directory the
+        # command did not make is left, with the cloud in it
+        assert not (tmp_path / "r").exists()
+        assert (tmp_path / "kept" / "c.csv").exists()
 
     @pytest.mark.parametrize("out, cloud, error", [
         ("u", "nodir/c.csv", "FileNotFoundError"),  # a file in a missing directory
@@ -213,7 +234,7 @@ class TestAggregate:
         momdp = tmp_path / "m.json"
         run_cli("gen", "simplex", "--actions", 2, "--out", momdp)
         code = run_cli("aggregate", "--momdp", momdp, "--rule", "utilitarian",
-                       "--chains", 0, "--seed", 1, "--out", tmp_path / "c")
+                       "--thinning", 0, "--seed", 1, "--out", tmp_path / "c")
         assert code == 2
         assert capsys.readouterr().err == "error: ValueError: bad walk parameters\n"
         assert not (tmp_path / "c").exists()
@@ -337,6 +358,27 @@ class TestExperiment:
         assert capsys.readouterr().err == (
             "error: ValueError: experiment spec source lacks the key 'file' or "
             "'generator'; got: 'generatr'\n")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("extra, keys", [
+        ({"chains": 8}, "'chains'"), ({"sample": 500, "instance": 4}, "'instance', 'sample'"),
+    ], ids=["chains", "sample"])
+    def test_spec_undeclared_key_fails_before_the_walk(self, tmp_path, capsys, monkeypatch,
+                                                       extra, keys):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked before the spec's keys were checked")
+
+        monkeypatch.setattr(volume, "sample_uniform", no_walk)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "source": {"generator": "simplex", "params": {"actions": 3}}, "seed": 1,
+            "rules": [{"name": "max-quantile"}], **extra,
+        }))
+        code = run_cli("experiment", "--spec", spec_path, "--out", tmp_path / "r")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: ValueError: experiment spec takes no key {keys}; accepted: source, "
+            "rules, seed, instances, samples, cdf, burn_in, thinning, record_runtime\n")
         assert not (tmp_path / "r").exists()
 
     def test_spec_wrong_shape_exit_code(self, tmp_path, capsys):

@@ -129,14 +129,10 @@ class TestRunExperiment:
 
     def test_json_metrics_round_trip(self):
         out = harness.run_experiment(small_spec())
-        rows = harness.load_metrics_json(out.json_text)
-        assert len(rows) == len(out.rows)
-        for got, want in zip(rows, out.rows):
-            assert got.rule == want.rule
-            assert got.instance_seed == want.instance_seed
-            assert got.returns == want.returns
-            assert got.gini == want.gini
-            assert got.nash == want.nash
+        entries = json.loads(out.json_text)["metrics"]
+        assert [(e["rule"], e["seed"], tuple(e["returns"]), e["gini"], e["nash"])
+                for e in entries] == \
+            [(r.rule, r.instance_seed, r.returns, r.gini, r.nash) for r in out.rows]
 
     def test_failures_recorded_and_run_continues(self):
         # constant rewards: every agent dropped -> prepare fails per instance
@@ -201,15 +197,14 @@ class TestRunExperiment:
         assert spec.samples == 1000
 
     def test_echoed_spec_reproduces_run(self):
-        spec = small_spec(burn_in=50, thinning=3, chains=8)
+        spec = small_spec(burn_in=50, thinning=3)
         out = harness.run_experiment(spec)
         echoed = json.dumps(json.loads(out.json_text)["spec"])
         rerun = harness.run_experiment(harness.ExperimentSpec.from_json(echoed))
         assert rerun.json_text == out.json_text
 
     def test_echoed_spec_keeps_every_field(self):
-        spec = small_spec(record_runtime=True, burn_in=50, thinning=3, chains=8,
-                          cdf_kind=volume.LOGISTIC)
+        spec = small_spec(record_runtime=True, burn_in=50, thinning=3, cdf_kind=volume.LOGISTIC)
         out = harness.run_experiment(spec)
         echoed = json.dumps(json.loads(out.json_text)["spec"])
         back = harness.ExperimentSpec.from_json(echoed)
@@ -299,7 +294,7 @@ class TestLazyWalk:
         assert len(out.rows) == 6 and not out.failures
 
     @pytest.mark.parametrize("walk", [
-        {"samples": 0}, {"burn_in": -1}, {"thinning": 0}, {"chains": 0},
+        {"samples": 0}, {"burn_in": -1}, {"thinning": 0},
     ])
     def test_walk_parameters_checked_without_a_walk(self, no_walk, walk):
         bad = "count must be positive|bad walk parameters"

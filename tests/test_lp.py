@@ -10,7 +10,7 @@ import polyagg as pa
 from polyagg import _solver, harness, lp, rules, volume
 from polyagg.mdp import MASS_TOL, build_polytope
 
-from conftest import strip, transient_53_model
+from conftest import strip, transient_53_model, unit_box
 
 
 @pytest.fixture
@@ -48,6 +48,16 @@ class TestSolveLp:
     def test_objective_length_checked(self, simplex3_poly):
         with pytest.raises(ValueError):
             pa.solve_lp(simplex3_poly, None, np.ones(2))
+
+    def test_point_off_unit_mass_raises(self):
+        # the unit square's optimum (1, 1) is no occupancy measure: it is
+        # refused, not rescaled to the point (0.5, 0.5) of another objective
+        box = unit_box(2)
+        for call in (lambda: pa.solve_lp(box, None, [1.0, 1.0]),
+                     lambda: pa.pareto_complete(box, [0.0, 0.0], np.eye(2)),
+                     lambda: pa.leximin(box, np.eye(2))):
+            with pytest.raises(ValueError, match="mass 2, not 1"):
+                call()
 
 
 class TestImpliedBounds:
@@ -362,10 +372,8 @@ class TestWarmModel:
     def test_nan_floor_raises(self, simplex3, simplex3_poly):
         r = simplex3.reward_vectors()
         floors = [np.nan, 0.0, 0.0]
-        for call in (lambda: lp.pareto_complete(simplex3_poly, floors, r),
-                     lambda: lp.lower_bound_rows(r, floors)):
-            with pytest.raises(ValueError, match="NaN"):
-                call()
+        with pytest.raises(ValueError, match="NaN"):
+            lp.pareto_complete(simplex3_poly, floors, r)
         model = _solver.Warm([0.0, 1.0], *strip().program())
         with pytest.raises(ValueError, match="NaN"):
             model.solve([0.0, 1.0], [np.nan, 0.0], strip().program()[-1])

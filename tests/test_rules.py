@@ -394,8 +394,8 @@ class TestBordaConcave:
 
         high = np.linspace(0.9, 1.0, 500)
         cdfs = [
-            ReturnCdf(agent=0, kind="empirical", samples=high),
-            ReturnCdf(agent=1, kind="empirical", samples=high),
+            ReturnCdf(kind="empirical", samples=high),
+            ReturnCdf(kind="empirical", samples=high),
         ]
         with pytest.raises(pa.ConcaveRegionEmpty):
             pa.borda_concave(simplex2_pipe.model, simplex2_pipe.poly, cdfs)

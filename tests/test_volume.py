@@ -188,8 +188,7 @@ class TestSampleUniform:
         assert np.allclose(cloud.points, [0.5, 0.5])
 
     @pytest.mark.parametrize("walk", [
-        {"count": 0}, {"burn_in": -5}, {"thinning": 0}, {"chains": 0},
-        {"thinning": 0, "chains": 0, "burn_in": -5},
+        {"count": 0}, {"burn_in": -5}, {"thinning": 0}, {"thinning": 0, "burn_in": -5},
     ])
     def test_bad_walk_parameters_rejected_on_a_point(self, two_cycle, walk):
         # a zero-dimensional chart takes no step, yet its walk parameters
@@ -202,8 +201,7 @@ class TestSampleUniform:
             pa.sample_uniform(poly, chart, **kwargs)
 
 
-def reference_walk(poly, chart, count, seed, burn_in, thinning,
-                   chains=volume.DEFAULT_CHAINS):
+def reference_walk(poly, chart, count, seed, burn_in, thinning):
     """The coordinate walk as a plain step loop: what sample_uniform computes.
 
     Same chart rows, PCG64 stream, sweeps, walk lengths and resync period;
@@ -211,7 +209,7 @@ def reference_walk(poly, chart, count, seed, burn_in, thinning,
     point and moves along it with the same floating-point operations in the
     same order.
     """
-    dim = chart.dim
+    dim, chains = chart.dim, volume.CHAINS
     gy, hy = volume._intrinsic_inequalities(poly, chart.basis, chart.origin)
     keep = np.linalg.norm(gy, axis=1) > 1e-12
     gy, hy = gy[keep], hy[keep]
@@ -428,7 +426,7 @@ class TestOwnership:
     def test_cdf_copies_caller_array_and_keeps_its_order(self):
         values = np.random.default_rng(3).random(100)
         kept = values.copy()
-        cdf = volume.ReturnCdf(agent=0, kind="empirical", samples=values)
+        cdf = volume.ReturnCdf(kind="empirical", samples=values)
         assert np.array_equal(values, kept)
         values[:] = 0.0
         assert np.array_equal(cdf.samples, np.sort(kept))
@@ -437,7 +435,7 @@ class TestOwnership:
         values = np.random.default_rng(4).random(100)
         kept = values.copy()
         values.flags.writeable = False
-        cdf = volume.ReturnCdf(agent=0, kind="empirical", samples=values)
+        cdf = volume.ReturnCdf(kind="empirical", samples=values)
         assert np.array_equal(values, kept)
         assert np.array_equal(cdf.samples, np.sort(kept))
 
@@ -622,7 +620,7 @@ class TestQuantileReference:
         values = rng.normal(size=n)
         if seed % 2:
             values = np.round(values, 1)   # ties
-        cdf = volume.ReturnCdf(agent=0, kind="empirical", samples=values)
+        cdf = volume.ReturnCdf(kind="empirical", samples=values)
         lo, hi = cdf.support
         for q in self.QS + list(rng.random(10)):
             v = pa.quantile_inverse(cdf, q)
@@ -637,7 +635,7 @@ class TestQuantileReference:
         # across an integer; k * 0.1 is how max-quantile spells its levels
         rng = np.random.default_rng(3)
         for n in (1, 2, 3, 7, 10, 20, 97, 1000):
-            cdf = volume.ReturnCdf(agent=0, kind="empirical", samples=rng.normal(size=n))
+            cdf = volume.ReturnCdf(kind="empirical", samples=rng.normal(size=n))
             lo = cdf.support[0]
             qs = [k / n for k in range(1, n + 1)] + [k * 0.1 for k in range(1, 11)]
             for q in qs + [np.nextafter(q, d) for q in qs for d in (0.0, 2.0)]:
@@ -654,8 +652,8 @@ class TestQuantileReference:
         cdf = pa.estimate_cdf(cloud, m.rewards[0] * m.num_states, kind="logistic")
         assert cdf.kind == "logistic"
         s = cdf.samples
-        narrow = volume.ReturnCdf(agent=0, kind="logistic",
-                                  samples=s[(s >= 0.5) & (s <= 1.75)], params=cdf.params)
+        narrow = volume.ReturnCdf(kind="logistic", samples=s[(s >= 0.5) & (s <= 1.75)],
+                                  params=cdf.params)
         growth, midpoint, asymmetry = cdf.params
         for c in (cdf, narrow):
             lo, hi = c.support
