@@ -188,7 +188,8 @@ class TestSampleUniform:
         assert np.allclose(cloud.points, [0.5, 0.5])
 
     @pytest.mark.parametrize("walk", [
-        {"count": 0}, {"burn_in": -5}, {"thinning": 0}, {"thinning": 0, "burn_in": -5},
+        {"count": 0}, {"burn_in": -5}, {"thinning": 0}, {"count": -1},
+        {"thinning": 0, "burn_in": -5},
     ])
     def test_bad_walk_parameters_rejected_on_a_point(self, two_cycle, walk):
         # a zero-dimensional chart takes no step, yet its walk parameters
