@@ -12,8 +12,8 @@ shape (a ``ValueError``, such as ``--epsilon 0`` or ``--alpha`` on
 utilitarian), or a file the command cannot read or write (an ``OSError``,
 such as a missing ``--momdp`` file or a ``--save-cloud`` path in a missing
 directory), 3 when a solver budget was exhausted.  Bad output paths and
-parameter values fail before any walk, and a failed ``aggregate`` leaves no
-``--out`` directory it made.
+parameter values fail before any walk, and a failed command leaves no
+directory it made (``harness.output_dir``) and no cloud of a failed walk.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import shutil
 import sys
 
 from . import harness, instances, volume
@@ -88,8 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     agg.add_argument("--samples", type=int, default=harness.DEFAULT_SAMPLES)
     agg.add_argument("--burn-in", type=int)
     agg.add_argument("--thinning", type=int)
-    agg.add_argument("--cdf", choices=[volume.EMPIRICAL, volume.LOGISTIC],
-                     default=volume.EMPIRICAL)
+    agg.add_argument("--cdf", choices=volume.CDF_KINDS, default=volume.EMPIRICAL)
     agg.add_argument("--veto-order", type=str,
                      help="comma-separated agent permutation for veto-core")
     agg.add_argument("--save-cloud", type=pathlib.Path,
@@ -131,49 +129,33 @@ def _cmd_aggregate(args) -> int:
         params["epsilon"] = args.epsilon
     if args.veto_order:
         params["order"] = [int(t) for t in args.veto_order.split(",")]
-    # fail on a parameter (or value) the rule or the walk does not take before
-    # making --out, and on a bad output path before the walk, not after it
+    # a bad rule parameter fails before --out is made, a bad path or walk knob before the walk
     harness.check_rule(args.rule, params)
-    volume.check_walk(args.samples, args.burn_in, args.thinning)
     m = load_momdp(args.momdp)
-    # the outermost directory of --out that this command makes: a failed
-    # command removes it again, with whatever it wrote there
-    made = next((p for p in (*reversed(args.out.parents), args.out) if not p.exists()), None)
-    try:
-        _write_aggregate(args, m, params)
-    except BaseException:
-        if made is not None:
-            shutil.rmtree(made, ignore_errors=True)
-        raise
+    with harness.output_dir(args.out) as out:
+        if args.save_cloud and not args.save_cloud.parent.is_dir():
+            raise FileNotFoundError(f"no directory for --save-cloud {args.save_cloud}")
+        pipe = harness.prepare(m, args.samples, args.seed, cdf_kind=args.cdf,
+                               burn_in=args.burn_in, thinning=args.thinning)
+        if args.save_cloud:
+            volume.save_cloud(pipe.cloud, args.save_cloud)
+        result = harness.run_rule(args.rule, pipe, **params)
+        norm = result.returns  # normalized: the model's returns span [0, 1]
+        gini, nash = harness.welfare_metrics(norm)
+        doc = {
+            "rule": args.rule,
+            "params": params,
+            "seed": args.seed,
+            "samples": args.samples,
+            "dropped_agents": list(pipe.dropped_agents),
+            "normalized_returns": [float(v) for v in norm],
+            "gini": gini,
+            "nash": nash,
+            "result": harness.result_doc(result),
+        }
+        (out / "result.json").write_text(json.dumps(doc, indent=2))
     print(f"wrote {args.out / 'result.json'}")
     return 0
-
-
-def _write_aggregate(args, m, params) -> None:
-    """Make --out, touch --save-cloud, then walk, run the rule and write
-    the cloud and ``result.json``."""
-    args.out.mkdir(parents=True, exist_ok=True)
-    if args.save_cloud:
-        args.save_cloud.open("a").close()
-    pipe = harness.prepare(m, args.samples, args.seed, cdf_kind=args.cdf,
-                           burn_in=args.burn_in, thinning=args.thinning)
-    if args.save_cloud:
-        volume.save_cloud(pipe.cloud, args.save_cloud)
-    result = harness.run_rule(args.rule, pipe, **params)
-    norm = result.returns  # normalized: the model's returns span [0, 1]
-    gini, nash = harness.welfare_metrics(norm)
-    doc = {
-        "rule": args.rule,
-        "params": params,
-        "seed": args.seed,
-        "samples": args.samples,
-        "dropped_agents": list(pipe.dropped_agents),
-        "normalized_returns": [float(v) for v in norm],
-        "gini": gini,
-        "nash": nash,
-        "result": harness.result_doc(result),
-    }
-    (args.out / "result.json").write_text(json.dumps(doc, indent=2))
 
 
 def _cmd_experiment(args) -> int:

@@ -19,10 +19,13 @@ report under "failures".  Wall-clock timings stay in memory unless
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import inspect
 import io
 import json
+import pathlib
+import shutil
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 
@@ -94,14 +97,22 @@ class Pipeline:
 
 def prepare(m: Momdp, samples: int, seed: int, cdf_kind: str = volume.EMPIRICAL,
             burn_in: int | None = None, thinning: int | None = None) -> Pipeline:
-    """Check the walk parameters, normalize and build the polytope; the walk,
-    when a rule reads it, runs ``volume.CHAINS`` chains."""
-    volume.check_walk(samples, burn_in, thinning)
+    """Check the walk parameters and the cdf kind, normalize and build the
+    polytope; the walk, when a rule reads it, runs ``volume.CHAINS`` chains."""
+    _check_sampling(samples, burn_in, thinning, cdf_kind)
     poly = build_polytope(m)
     model, dropped = normalize_rewards(m, poly)
     lp.home_point(poly, model.reward_vectors())  # the home solve every rule's LPs start from
     walk = dict(count=samples, seed=seed, burn_in=burn_in, thinning=thinning)
     return Pipeline(model, tuple(dropped), poly, walk, cdf_kind)
+
+
+def _check_sampling(samples, burn_in, thinning, cdf_kind) -> None:
+    """Raise :class:`ValueError` on walk parameters no walk takes or a cdf
+    kind ``volume.estimate_cdf`` does not know, before any walk."""
+    volume.check_walk(samples, burn_in, thinning)
+    if cdf_kind not in volume.CDF_KINDS:
+        raise ValueError(f"unknown cdf kind {cdf_kind!r}; known: {', '.join(volume.CDF_KINDS)}")
 
 
 # every registered rule: its function in ``rules`` and the Pipeline fields it
@@ -195,17 +206,18 @@ class ExperimentSpec:
         if self.seed is None:
             raise ValueError("an experiment seed is mandatory")
         _check_source(self.source)
-        volume.check_walk(self.samples, self.burn_in, self.thinning)
+        _check_sampling(self.samples, self.burn_in, self.thinning, self.cdf_kind)
         object.__setattr__(self, "rules", tuple(self.rules))
 
     @staticmethod
     def from_json(text: str) -> "ExperimentSpec":
         """Parse spec JSON; a missing key, a key that is not a spec field's
         or a value of the wrong shape raises :class:`ValueError` naming the
-        key."""
+        key.  Counts take JSON integers only and ``record_runtime`` a JSON
+        boolean only: no value is cast."""
         doc = json.loads(text)
         # a field without a default is looked up even when absent
-        kwargs = {f.name: _json_field(doc, key, "experiment spec", _JSON_CASTS.get(f.type))
+        kwargs = {f.name: _json_field(doc, key, "experiment spec", _JSON_TYPES.get(f.type))
                   for f, key in _spec_fields() if f.default is MISSING or key in doc}
         _reject_unknown("experiment spec takes no key", doc, [key for _, key in _spec_fields()])
         kwargs["rules"] = _json_field(doc, "rules", "experiment spec", _rule_specs)
@@ -220,10 +232,21 @@ def _rule_specs(entries) -> tuple[RuleSpec, ...]:
                  for entry in entries)
 
 
+def _json_typed(*types):
+    """A from_json check that passes a value whose type is one of ``types``
+    exactly (so JSON's ``true`` is no integer) and raises TypeError else."""
+    def check(value):
+        if type(value) not in types:
+            raise TypeError
+        return value
+    return check
+
+
 # spec JSON keys that differ from their ExperimentSpec field names, and the
-# casts from_json applies by field type
+# type checks from_json applies by field type
 _RENAMED_KEYS = {"num_instances": "instances", "cdf_kind": "cdf"}
-_JSON_CASTS = {"int": int, "bool": bool}
+_JSON_TYPES = {"int": _json_typed(int), "int | None": _json_typed(int, type(None)),
+               "bool": _json_typed(bool)}
 
 
 def _spec_fields():
@@ -441,14 +464,27 @@ def _render_json(spec, rows, aggregates, failures, results_doc) -> str:
     return json.dumps(doc, indent=2)
 
 
-def write_experiment(spec: ExperimentSpec, out_dir) -> ExperimentOutput:
-    """Make ``out_dir`` (before any walk), run an experiment and write
-    ``results.csv`` and ``results.json`` there."""
-    import pathlib
+@contextlib.contextmanager
+def output_dir(path):
+    """Make directory ``path`` and its missing parents and run the block with
+    it; if that raises, remove the outermost directory made, with whatever
+    was written there, and re-raise.  A directory that already existed stays."""
+    path = pathlib.Path(path)
+    made = next((p for p in (*reversed(path.parents), path) if not p.exists()), None)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        yield path
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
-    path = pathlib.Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    out = run_experiment(spec)
-    (path / "results.csv").write_text(out.csv_text)
-    (path / "results.json").write_text(out.json_text)
+
+def write_experiment(spec: ExperimentSpec, out_dir) -> ExperimentOutput:
+    """Make ``out_dir`` before any walk, run an experiment and write
+    ``results.csv`` and ``results.json`` there, all in :func:`output_dir`."""
+    with output_dir(out_dir) as path:
+        out = run_experiment(spec)
+        (path / "results.csv").write_text(out.csv_text)
+        (path / "results.json").write_text(out.json_text)
     return out

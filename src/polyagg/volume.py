@@ -25,6 +25,7 @@ from .mdp import OccupancyMeasure, OccupancyPolytope
 
 EMPIRICAL = "empirical"
 LOGISTIC = "logistic"
+CDF_KINDS = (EMPIRICAL, LOGISTIC)
 
 INTERIOR_TOL = 1e-10      # minimum Chebyshev radius before degeneracy
 CHAINS = 64               # lockstep walkers of every walk
@@ -456,7 +457,7 @@ def estimate_cdf(cloud: SampleCloud, reward_table, kind: str = EMPIRICAL) -> Ret
     back to the empirical kind when the fit strays more than 0.05 anywhere
     on the sample-quantile grid.
     """
-    if kind not in (EMPIRICAL, LOGISTIC):
+    if kind not in CDF_KINDS:
         raise ValueError(f"unknown cdf kind {kind!r}")
     returns = cloud.returns(reward_table)   # a fresh vector: sort it in place
     returns.sort()

@@ -197,6 +197,21 @@ class TestAggregate:
         assert not (tmp_path / "r").exists()
         assert (tmp_path / "kept" / "c.csv").exists()
 
+    def test_failed_walk_writes_no_save_cloud(self, tmp_path, capsys, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise pa.DegeneratePolytope("no interior")
+
+        monkeypatch.setattr(volume, "sample_uniform", degenerate)
+        momdp = tmp_path / "m.json"
+        run_cli("gen", "simplex", "--actions", 3, "--out", momdp)
+        code = run_cli("aggregate", "--momdp", momdp, "--rule", "max-quantile",
+                       "--seed", 1, "--samples", 500, "--out", tmp_path / "o",
+                       "--save-cloud", tmp_path / "c.csv")
+        assert code == 2
+        assert capsys.readouterr().err == "error: DegeneratePolytope: no interior\n"
+        # neither the cloud file outside --out nor --out itself is left
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
     @pytest.mark.parametrize("out, cloud, error", [
         ("u", "nodir/c.csv", "FileNotFoundError"),  # a file in a missing directory
         ("file/u", "c.csv", "NotADirectoryError"),  # a directory under a file
@@ -392,3 +407,61 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: experiment spec key 'rules' "
                               "has the wrong shape (str)")
+
+
+SIMPLEX_SPEC = {"source": {"generator": "simplex", "params": {"actions": 3}},
+                "rules": [{"name": "max-quantile"}], "seed": 1, "samples": 500}
+
+
+def no_walk(*args, **kwargs):
+    raise AssertionError("walked before the spec was found bad")
+
+
+class TestExperimentOutput:
+    """A failed experiment leaves no directory it made, and an --out that
+    already existed keeps what it held."""
+
+    @pytest.mark.parametrize("change, error", [
+        ({"source": {"file": "missing.json"}}, "FileNotFoundError: "),
+        ({"source": {"generator": "simplex", "params": {"actions": 1}}}, "ValueError: "),
+        ({"cdf": "bogus"}, "ValueError: unknown cdf kind 'bogus'; known: empirical, logistic\n"),
+    ], ids=["nofile", "actions", "cdf"])
+    def test_failed_experiment_leaves_no_out_it_made(self, tmp_path, capsys, monkeypatch,
+                                                     change, error):
+        monkeypatch.setattr(volume, "sample_uniform", no_walk)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**SIMPLEX_SPEC, **change}))
+        code = run_cli("experiment", "--spec", spec_path, "--out", tmp_path / "a" / "r")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+        assert not (tmp_path / "a").exists()
+
+    def test_failed_experiment_keeps_an_existing_out(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**SIMPLEX_SPEC, "source": {"file": "missing.json"}}))
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("mine")
+        assert run_cli("experiment", "--spec", spec_path, "--out", kept) == 2
+        assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+        assert (kept / "notes.txt").read_text() == "mine"
+
+    @pytest.mark.parametrize("key, value, type_name", [
+        ("record_runtime", "false", "str"),
+        ("record_runtime", 0, "int"),
+        ("samples", 4000.7, "float"),
+        ("instances", True, "bool"),
+        ("seed", "1", "str"),
+        ("burn_in", 2.5, "float"),
+        ("thinning", False, "bool"),
+    ])
+    def test_spec_value_of_the_wrong_type_fails_before_the_walk(
+            self, tmp_path, capsys, monkeypatch, key, value, type_name):
+        monkeypatch.setattr(volume, "sample_uniform", no_walk)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**SIMPLEX_SPEC, key: value}))
+        assert run_cli("experiment", "--spec", spec_path, "--out", tmp_path / "r") == 2
+        assert capsys.readouterr().err == (f"error: ValueError: experiment spec key {key!r} "
+                                           f"has the wrong shape ({type_name})\n")
+        assert not (tmp_path / "r").exists()

@@ -271,6 +271,47 @@ class TestRunExperiment:
         assert (tmp_path / "exp" / "results.csv").read_text() == out.csv_text
         assert (tmp_path / "exp" / "results.json").read_text() == out.json_text
 
+    def test_spec_json_takes_null_walk_defaults_and_a_boolean(self):
+        doc = {"source": {"generator": "simplex", "params": {"actions": 2}},
+               "rules": [{"name": "utilitarian"}], "seed": 1, "burn_in": None,
+               "thinning": 3, "record_runtime": True}
+        spec = harness.ExperimentSpec.from_json(json.dumps(doc))
+        assert (spec.burn_in, spec.thinning, spec.record_runtime) == (None, 3, True)
+
+    def test_unknown_cdf_kind_rejected_before_any_walk(self, no_walk):
+        message = "^unknown cdf kind 'bogus'; known: empirical, logistic$"
+        with pytest.raises(ValueError, match=message):
+            small_spec(cdf_kind="bogus")
+        with pytest.raises(ValueError, match=message):
+            harness.prepare(pa.gen_simplex_instance(2), 100, seed=1, cdf_kind="bogus")
+
+
+class TestOutputDir:
+    def test_makes_missing_parents(self, tmp_path):
+        with harness.output_dir(tmp_path / "a" / "b") as path:
+            assert path == tmp_path / "a" / "b" and path.is_dir()
+        assert path.is_dir()
+
+    def test_failure_removes_the_outermost_directory_made(self, tmp_path):
+        with pytest.raises(KeyError):
+            with harness.output_dir(tmp_path / "a" / "b") as path:
+                (path / "partial.csv").write_text("x")
+                raise KeyError("boom")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_keeps_directories_that_existed(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a" / "old.txt").write_text("kept")
+        with pytest.raises(KeyError):
+            with harness.output_dir(tmp_path / "a" / "b") as path:
+                (path / "partial.csv").write_text("x")
+                raise KeyError("boom")
+        assert [p.name for p in (tmp_path / "a").iterdir()] == ["old.txt"]
+        with pytest.raises(KeyError):
+            with harness.output_dir(tmp_path / "a"):
+                raise KeyError("boom")
+        assert (tmp_path / "a" / "old.txt").read_text() == "kept"
+
 
 LP_RULES = (harness.RuleSpec("utilitarian"), harness.RuleSpec("egalitarian"),
             harness.RuleSpec("plurality"))
