@@ -15,7 +15,7 @@ are three kinds of solve:
   match ``linprog``'s bit for bit, without its Python layer (about 2 ms a
   call).  The LPs that are solved once per program stay cold: the
   polytope's feasibility check, the extremal LPs of reward normalization,
-  the Chebyshev LP and borda-concave's hypograph LP.
+  the Chebyshev LP and borda-concave's relaxed level program.
 - :class:`Warm` keeps one HiGHS model for a family of LPs that share their
   rows and differ only in costs, row upper bounds ``b_ub`` and variable
   bounds.  Its constructor solves the first member, the *home* solve, and

@@ -159,7 +159,11 @@ def check_rule(name: str, params) -> None:
     _check_params(f"rule {name!r}", fn, 2 + len(reads), params)
     for key, check in rules.PARAMETER_CHECKS.get(fn, {}).items():
         if key in params:
-            check(params[key])
+            try:
+                check(params[key])
+            except TypeError:
+                raise ValueError(f"rule {name!r} parameter {key!r} must be a number, "
+                                 f"not {type(params[key]).__name__}") from None
 
 
 def run_rule(name: str, pipe: Pipeline, **params) -> rules.RuleResult:
@@ -278,16 +282,18 @@ class ExperimentOutput:
 GENERATORS = {
     "warehouse": lambda seed, warehouses=3, agents=4, criterion="average", gamma=0.95:
         instances.gen_warehouse(instances.WarehouseParams(
-            warehouses=int(warehouses), agents=int(agents), seed=seed,
-            criterion=criterion, gamma=float(gamma))),
-    "simplex": lambda seed, actions: instances.gen_simplex_instance(int(actions)),
+            warehouses=warehouses, agents=agents, seed=seed, criterion=criterion, gamma=gamma)),
+    "simplex": lambda seed, actions: instances.gen_simplex_instance(actions),
     "random": lambda seed, states=3, actions=3, agents=3:
-        instances.random_momdp(int(states), int(actions), int(agents), seed=seed),
+        instances.random_momdp(states, actions, agents, seed=seed),
     "mis": lambda seed, vertices=6, edge_prob=0.5:
-        instances.gen_from_mis(instances.random_graph(int(vertices), float(edge_prob), seed)),
+        instances.gen_from_mis(instances.random_graph(vertices, edge_prob, seed)),
     "max2sat": lambda seed, variables=4, clauses=4:
-        instances.gen_from_max2sat(instances.random_2cnf(int(variables), int(clauses), seed)),
+        instances.gen_from_max2sat(instances.random_2cnf(variables, clauses, seed)),
 }
+
+# the JSON types of each generator parameter that is not a count (a JSON integer)
+_GENERATOR_TYPES = {"gamma": (int, float), "edge_prob": (int, float), "criterion": (str,)}
 
 
 def _check_source(source) -> None:
@@ -307,6 +313,9 @@ def _check_source(source) -> None:
         if not isinstance(params, dict):
             raise ValueError("experiment spec source key 'params' must be an object")
         _check_params(f"generator {gen!r}", GENERATORS[gen], 1, params)
+        for key in params:
+            _json_field(params, key, f"generator {gen!r} params",
+                        _json_typed(*_GENERATOR_TYPES.get(key, (int,))))
 
 
 def _instantiate(source: dict, instance_seed: int) -> Momdp:
@@ -338,7 +347,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutput:
             failures.append({"seed": instance_seed, "stage": "prepare",
                              "error": type(exc).__name__, "message": str(exc)})
             continue
-        instance_doc = {"seed": instance_seed, "rules": {}}
+        instance_doc = {"seed": instance_seed, "dropped_agents": pipe.dropped_agents, "rules": {}}
         for rule_spec in spec.rules:
             label = rule_spec.label()
             try:

@@ -3,9 +3,9 @@
 Provides plain LP solves with extra halfspace rows, utilitarian (Pareto)
 completion, iterative leximin, and mixed binary programs whose rows tie
 binaries to the occupancy variables, solved by HiGHS branch-and-cut
-(with an exhaustive enumeration oracle for cross-checks).  A MILP decides
-only its binaries: its result carries the assignment and score but no point,
-and the rules complete the assignment with one welfare LP.
+(with an exhaustive enumeration oracle for cross-checks) or relaxed to an
+LP.  A MILP decides only its binaries: its result carries no point, and the
+rules complete its assignment with one welfare LP.
 
 Each solve returns its answer or raises: :class:`InfeasibleBounds` when the
 rows meet nowhere, :class:`MilpBudgetExhausted` when a MILP reaches its node
@@ -15,8 +15,8 @@ Extra halfspaces come as one block ``(a, b)`` meaning ``a @ d <= b`` row by
 row.  Every solve over a polytope is posed by
 :meth:`~polyagg.mdp.OccupancyPolytope.program`: the polytope's rows, then
 the caller's block, with ``d >= 0`` as variable bounds.  Programs over the
-occupancy variables plus further variables (a floor, a hypograph, binaries)
-ask it for that many extra columns, which it leaves free.
+occupancy variables plus further variables (a floor, binaries or their
+relaxation) ask it for that many extra columns, which it leaves free.
 
 The LPs with per-agent return floors - :func:`pareto_complete` (every
 rule's completion and max-quantile's level probes, utilitarian's LP among
@@ -27,7 +27,8 @@ only costs and bounds and starts from the home basis, so its answer does
 not depend on the solves before it.  :func:`home_point` returns the home
 optimum, from which the MILP rules read a starting assignment for
 :func:`milp_solve`.  :func:`enumerate_milp` keeps one warm model per
-program.  :func:`solve_lp` stays cold: its block changes from call to call.
+program.  :func:`solve_lp` and :func:`relaxation_solve` stay cold: each call
+poses a new block.
 """
 
 from __future__ import annotations
@@ -260,6 +261,15 @@ def _relaxation_system(p: MilpProgram):
     bounds[p.base.dim:] = (0.0, 1.0)
     c = np.concatenate([np.zeros(p.base.dim), -p.weights])
     return c, a_ub, b_ub, a_eq, b_eq, bounds
+
+
+def relaxation_solve(p: MilpProgram) -> tuple[np.ndarray, float]:
+    """An optimal point ``[d ; z]`` of the MILP's LP relaxation, solved cold,
+    and its value ``weights @ z``; :class:`InfeasibleBounds` if there is none."""
+    res = _solver.lp(*_relaxation_system(p))
+    if res.status == _solver.INFEASIBLE:
+        raise InfeasibleBounds("no point meets the MILP's rows with its binaries relaxed")
+    return res.x, float(-res.fun)
 
 
 def milp_solve(p: MilpProgram, start=None) -> MilpResult:

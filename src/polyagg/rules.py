@@ -9,6 +9,7 @@ welfare-maximizing, hence Pareto-optimal, point of the rule's feasible set.
 
 from __future__ import annotations
 
+import numbers
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -200,10 +201,17 @@ def veto_core(
     return _finish(m, point, cert, watch)
 
 
+def _real(value):
+    """``value``, or :class:`TypeError` unless it is a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, not {type(value).__name__}")
+    return value
+
+
 def _levels(epsilon: float, top: float) -> int:
     """The number of steps of the grid {0, eps, ..., 1}; :class:`ValueError`
     unless eps lies in (0, top] and 1/eps is whole, so the grid ends at 1."""
-    if not 0.0 < epsilon <= top:
+    if not 0.0 < _real(epsilon) <= top:
         raise ValueError(f"epsilon must lie in (0, {top:g}]")
     levels = 1.0 / epsilon
     if abs(levels - round(levels)) > 1e-9:
@@ -212,7 +220,7 @@ def _levels(epsilon: float, top: float) -> int:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha <= 1.0:
+    if not 0.0 < _real(alpha) <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
 
 
@@ -268,22 +276,23 @@ def max_quantile(
     return _finish(m, point, cert, watch)
 
 
-def _level_program(poly: OccupancyPolytope, rewards, steps, weights) -> lp.MilpProgram:
+def _level_program(poly: OccupancyPolytope, rewards, steps, weights, offset=0.0) -> lp.MilpProgram:
     """The level-indicator MILP of approval, plurality and Borda.
 
     Agent i's K levels are binaries a_{i,k} at column i K + k, weighted by
     ``weights[i, k]``, under the monotone rows a_{i,k+1} <= a_{i,k} and one
-    aggregate row ``sum_k steps[i, k] a_{i,k} <= <R_i, d>`` (no big-M:
-    normalized returns are nonnegative).  With the monotone rows it implies
-    every active level's own row, even in the LP relaxation, so an
-    assignment admits exactly the points that give each agent the steps of
-    its active levels.
+    aggregate row ``offset[i] + sum_k steps[i, k] a_{i,k} <= <R_i, d>`` (no
+    big-M: normalized returns and offsets are nonnegative).  With the
+    monotone rows it implies every active level's own row, even in the LP
+    relaxation (:func:`borda_concave`), so an assignment admits exactly the
+    points that give each agent its offset plus its active levels' steps.
     """
     n, k = steps.shape
     monotone = np.kron(np.eye(n), np.eye(k - 1, k, 1) - np.eye(k - 1, k))
     rows = np.block([[np.zeros((n * (k - 1), poly.dim)), monotone],
                      [-rewards, np.kron(np.eye(n), np.ones((1, k))) * steps.ravel()]])
-    return lp.MilpProgram(base=poly, weights=weights.ravel(), rows=(rows, np.zeros(n * k)))
+    return lp.MilpProgram(base=poly, weights=weights.ravel(),
+                          rows=(rows, np.append(np.zeros(n * (k - 1)), np.zeros(n) - offset)))
 
 
 def _level_outcome(m: Momdp, poly: OccupancyPolytope, steps, weights):
@@ -369,7 +378,8 @@ def borda_milp(
     Each agent has 1/eps levels of step eps, level k marking the rounded
     return (k + 1) eps with weight F_i((k + 1) eps) - F_i(k eps), so the
     optimum attains at least the best Borda score among eps-rounded return
-    vectors; the relaxation is the step functions' concave envelope.
+    vectors.  Its LP relaxation, over knots past the modes rather than this
+    grid, is :func:`borda_concave`.
     """
     k_max = _levels(epsilon, 1.0)
     watch = _Stopwatch(samples_used=cdfs[0].samples.size)
@@ -392,70 +402,40 @@ def borda_concave(
 ) -> RuleResult:
     """Borda winner restricted to the region past every density mode.
 
-    There each F_i is concave, so maximizing ``sum_i F_i(<R_i, d>)`` becomes
-    one LP over hypograph variables bounded by the piecewise-linear concave
-    upper envelope of F_i sampled at ``CONCAVE_KNOTS`` points on [mode_i, 1].
-    Raises :class:`ConcaveRegionEmpty` when no policy clears every mode, that
-    is when the LP, whose rows include <R_i, d> >= mode_i, has no point
-    (callers should fall back to the MILP variant).
+    There each F_i is concave, so maximizing ``sum_i F_i(<R_i, d>)`` is the
+    LP relaxation of the level program with the steps between
+    ``CONCAVE_KNOTS`` points of F_i on [mode_i, 1], weighted by F_i's
+    increments and offset by mode_i: per agent, its optimum is the concave
+    majorant of the points less F_i(mode_i) (put y_k = z_k - z_{k+1}).  An
+    empty relaxation, whose offset rows are <R_i, d> >= mode_i, raises
+    :class:`ConcaveRegionEmpty` (callers should fall back to the MILP variant).
     """
     watch = _Stopwatch(samples_used=cdfs[0].samples.size)
     rewards = m.reward_vectors()
-    n = m.num_agents
     modes = np.array([volume.mode_estimate(cdf) for cdf in cdfs])
-    # variables [d ; t]: t_i <= slope * <R_i, d> + intercept on each segment
-    # of agent i's envelope, and <R_i, d> >= mode_i
-    segments = [_concave_envelope(cdfs[i], modes[i]) for i in range(n)]
-    agent = np.repeat(np.arange(n), [len(seg) for seg in segments])
-    slope, intercept = np.concatenate(segments).T
-    rows = (np.vstack([np.hstack([-rewards, np.zeros((n, n))]),
-                       np.hstack([-slope[:, None] * rewards[agent], np.eye(n)[agent]])]),
-            np.concatenate([-modes, intercept]))
-    c = np.concatenate([np.zeros(poly.dim), -np.ones(n)])
-    res = _solver.lp(c, *poly.program(rows, n))
-    if res.status == _solver.INFEASIBLE:
-        raise ConcaveRegionEmpty("no policy reaches every agent's density mode")
-    achieved = rewards @ res.x[:poly.dim]
-    point = lp.pareto_complete(poly, achieved - COMPLETION_RELAX, rewards)
-    score = float(sum(cdfs[i].evaluate(float(rewards[i] @ point.flat)) for i in range(n)))
+    knots = np.linspace(modes, np.maximum(1.0, modes + 1e-6), CONCAVE_KNOTS, axis=1)
+    heights = np.array([cdf.evaluate(x) for cdf, x in zip(cdfs, knots)])  # [agent, knot]
+    try:
+        x, value = lp.relaxation_solve(_level_program(
+            poly, rewards, np.diff(knots, axis=1), np.diff(heights, axis=1), offset=modes))
+    except InfeasibleBounds:
+        raise ConcaveRegionEmpty("no policy reaches every agent's density mode") from None
+    point = lp.pareto_complete(poly, rewards @ x[:poly.dim] - COMPLETION_RELAX, rewards)
+    score = float(sum(cdf.evaluate(float(r @ point.flat)) for cdf, r in zip(cdfs, rewards)))
     cert = ConcaveBordaCertificate(
         modes=tuple(float(v) for v in modes),
-        envelope_objective=float(-res.fun),
+        envelope_objective=value + float(heights[:, 0].sum()),
         score=score,
     )
     return _finish(m, point, cert, watch)
 
 
-# rule parameter checks that need no model, which harness.check_rule runs
-# before any walk (veto-core's epsilon and order need the agent count)
+# rule parameter checks that need no model, which harness.check_rule runs before any
+# walk; TypeError is a wrong type (veto-core's epsilon range and order need the agent count)
 PARAMETER_CHECKS = {
+    veto_core: {"epsilon": lambda epsilon: epsilon is None or _real(epsilon)},
     max_quantile: {"epsilon": lambda epsilon: _levels(epsilon, 0.5)},
     alpha_approval: {"alpha": _check_alpha},
     borda_milp: {"epsilon": lambda epsilon: _levels(epsilon, 1.0)},
 }
 
-
-def _concave_envelope(cdf: ReturnCdf, mode: float):
-    """Line segments (slope, intercept) of the concave majorant of F on [mode, 1]."""
-    hi = max(1.0, mode + 1e-6)
-    xs = np.linspace(mode, hi, CONCAVE_KNOTS)
-    ys = np.asarray(cdf.evaluate(xs))
-    hull = [0]
-    for k in range(1, len(xs)):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            cross = (ys[b] - ys[a]) * (xs[k] - xs[a]) - (ys[k] - ys[a]) * (xs[b] - xs[a])
-            if cross <= 0:  # keeping b would bend convex-side; drop it
-                hull.pop()
-            else:
-                break
-        hull.append(k)
-    segments = []
-    for a, b in zip(hull[:-1], hull[1:]):
-        if xs[b] == xs[a]:
-            continue
-        slope = (ys[b] - ys[a]) / (xs[b] - xs[a])
-        segments.append((slope, ys[a] - slope * xs[a]))
-    if not segments:
-        segments.append((0.0, float(ys.max())))
-    return segments

@@ -425,7 +425,11 @@ class TestExperimentOutput:
         ({"source": {"file": "missing.json"}}, "FileNotFoundError: "),
         ({"source": {"generator": "simplex", "params": {"actions": 1}}}, "ValueError: "),
         ({"cdf": "bogus"}, "ValueError: unknown cdf kind 'bogus'; known: empirical, logistic\n"),
-    ], ids=["nofile", "actions", "cdf"])
+        ({"source": {"generator": "simplex", "params": {"actions": 3.7}}},
+         "ValueError: generator 'simplex' params key 'actions' has the wrong shape (float)\n"),
+        ({"rules": [{"name": "approval", "alpha": "0.9"}]},
+         "ValueError: rule 'approval' parameter 'alpha' must be a number, not str\n"),
+    ], ids=["nofile", "actions", "cdf", "actions-float", "alpha-str"])
     def test_failed_experiment_leaves_no_out_it_made(self, tmp_path, capsys, monkeypatch,
                                                      change, error):
         monkeypatch.setattr(volume, "sample_uniform", no_walk)

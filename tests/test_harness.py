@@ -246,6 +246,16 @@ class TestRunExperiment:
          "experiment spec source takes no key 'params'; accepted: file"),
         ({"generator": "mis", "params": [6]},
          "experiment spec source key 'params' must be an object"),
+        ({"generator": "simplex", "params": {"actions": 3.7}},
+         "generator 'simplex' params key 'actions' has the wrong shape (float)"),
+        ({"generator": "random", "params": {"agents": True}},
+         "generator 'random' params key 'agents' has the wrong shape (bool)"),
+        ({"generator": "warehouse", "params": {"gamma": "0.9"}},
+         "generator 'warehouse' params key 'gamma' has the wrong shape (str)"),
+        ({"generator": "warehouse", "params": {"criterion": 1}},
+         "generator 'warehouse' params key 'criterion' has the wrong shape (int)"),
+        ({"generator": "mis", "params": {"edge_prob": None}},
+         "generator 'mis' params key 'edge_prob' has the wrong shape (NoneType)"),
     ])
     def test_malformed_source_rejected(self, source, message):
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
@@ -253,6 +263,39 @@ class TestRunExperiment:
         doc = {"source": source, "rules": [{"name": "utilitarian"}], "seed": 1}
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             harness.ExperimentSpec.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("name, params", [
+        ("approval", {"alpha": "0.9"}),
+        ("approval", {"alpha": True}),
+        ("max-quantile", {"epsilon": [0.1]}),
+        ("borda-milp", {"epsilon": "0.1"}),
+        ("veto-core", {"epsilon": "0.1"}),
+    ])
+    def test_rule_parameter_of_the_wrong_type_names_itself(self, name, params):
+        (key, value), = params.items()
+        message = re.escape(f"rule {name!r} parameter {key!r} must be a number, "
+                            f"not {type(value).__name__}") + "$"
+        with pytest.raises(ValueError, match=message):
+            harness.RuleSpec(name, params)
+        doc = {"source": {"generator": "simplex", "params": {"actions": 2}},
+               "rules": [{"name": name, **params}], "seed": 1}
+        with pytest.raises(ValueError, match=message):
+            harness.ExperimentSpec.from_json(json.dumps(doc))
+
+    def test_generator_numbers_take_integers(self):
+        source = {"generator": "mis", "params": {"vertices": 3, "edge_prob": 1}}
+        harness.ExperimentSpec(source=source, rules=(), seed=1)
+        assert harness._instantiate(source, 5).num_agents == 3
+
+    def test_dropped_agents_recorded_per_instance(self):
+        # isolated vertices of a sparse graph are indifferent agents
+        spec = harness.ExperimentSpec(
+            source={"generator": "mis", "params": {"vertices": 6, "edge_prob": 0.2}},
+            rules=(harness.RuleSpec("utilitarian"),), seed=4, num_instances=3)
+        out = harness.run_experiment(spec)
+        results = json.loads(out.json_text)["results"]
+        assert [r["dropped_agents"] for r in results] == [[2, 3, 5], [2, 3], [0, 1, 5]]
+        assert [len(row.returns) for row in out.rows] == [3, 4, 3]
 
     def test_generator_defaults(self):
         m = harness._instantiate({"generator": "random", "params": {"states": 2}}, 5)

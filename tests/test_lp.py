@@ -161,7 +161,7 @@ class TestLinprogReference:
         m, poly, cdfs = random_500_pipe.model, random_500_pipe.poly, list(random_500_pipe.cdfs)
         run = {
             "constructor": lambda: build_polytope(m),
-            "borda_concave": lambda: rules.borda_concave(m, poly, cdfs),  # hypograph LP
+            "borda_concave": lambda: rules.borda_concave(m, poly, cdfs),  # relaxed level program
         }[solve]
         calls = recorded_lps(monkeypatch, run)
         assert calls

@@ -112,6 +112,11 @@ class TestVetoCore:
             pa.veto_core(simplex2_pipe.model, simplex2_pipe.poly,
                          simplex2_pipe.cloud, epsilon=0.6)
 
+    def test_outcome_meets_the_certified_thresholds(self, volumetric_pipes):
+        for pipe in volumetric_pipes:
+            res = pa.veto_core(pipe.model, pipe.poly, pipe.cloud)
+            assert np.all(res.returns >= np.array(res.certificate.thresholds) - 1e-9)
+
     def test_order_changes_result_deterministically(self, random_pipe):
         a = pa.veto_core(random_pipe.model, random_pipe.poly, random_pipe.cloud,
                          epsilon=0.05, order=(0, 1, 2))
@@ -369,7 +374,27 @@ class TestBordaMilp:
                 >= borda_score(quant, cdfs, r) - 0.05 - n * 0.05)
 
 
+def concave_majorant(xs, ys, x):
+    """The least concave function above the points (xs, ys), at x in
+    [xs[0], xs[-1]]: the highest chord of two points that straddle x."""
+    return max(ys[a] if xs[b] == xs[a] else
+               ys[a] + (ys[b] - ys[a]) * (x - xs[a]) / (xs[b] - xs[a])
+               for a in range(len(xs)) for b in range(a, len(xs)) if xs[a] <= x <= xs[b])
+
+
 class TestBordaConcave:
+    def test_envelope_objective_is_the_majorant_at_the_returns(self, volumetric_pipes):
+        # every mode region of these five models is nonempty
+        for pipe in volumetric_pipes:
+            cdfs = list(pipe.cdfs)
+            res = pa.borda_concave(pipe.model, pipe.poly, cdfs)
+            majorants = []
+            for cdf, mode, r in zip(cdfs, res.certificate.modes, res.returns):
+                xs = np.linspace(mode, max(1.0, mode + 1e-6), rules.CONCAVE_KNOTS)
+                majorants.append(concave_majorant(xs, cdf.evaluate(xs),
+                                                  float(np.clip(r, xs[0], xs[-1]))))
+            assert res.certificate.envelope_objective == pytest.approx(sum(majorants), abs=1e-7)
+
     def test_single_agent(self):
         m = pa.gen_simplex_instance(2)
         single = m.replace_rewards(m.rewards[:1])
