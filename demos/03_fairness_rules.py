@@ -30,6 +30,7 @@ print("\nmax-quantile fairness")
 print("  q* =", quant.certificate.q_star)
 print("  per-agent thresholds:", np.round(quant.certificate.thresholds, 3))
 print("  returns:", np.round(quant.returns, 3))
+print("  samples above each return:", quant.certificate.samples_above)
 
 egal = pa.egalitarian(pipe.model, pipe.poly)
 util = pa.utilitarian(pipe.model, pipe.poly)

@@ -99,7 +99,7 @@ def prepare(m: Momdp, samples: int, seed: int, cdf_kind: str = volume.EMPIRICAL,
             burn_in: int | None = None, thinning: int | None = None) -> Pipeline:
     """Check the walk parameters and the cdf kind, normalize and build the
     polytope; the walk, when a rule reads it, runs ``volume.CHAINS`` chains."""
-    _check_sampling(samples, burn_in, thinning, cdf_kind)
+    _check_sampling(samples, seed, burn_in, thinning, cdf_kind)
     poly = build_polytope(m)
     model, dropped = normalize_rewards(m, poly)
     lp.home_point(poly, model.reward_vectors())  # the home solve every rule's LPs start from
@@ -107,10 +107,12 @@ def prepare(m: Momdp, samples: int, seed: int, cdf_kind: str = volume.EMPIRICAL,
     return Pipeline(model, tuple(dropped), poly, walk, cdf_kind)
 
 
-def _check_sampling(samples, burn_in, thinning, cdf_kind) -> None:
-    """Raise :class:`ValueError` on walk parameters no walk takes or a cdf
-    kind ``volume.estimate_cdf`` does not know, before any walk."""
+def _check_sampling(samples, seed, burn_in, thinning, cdf_kind) -> None:
+    """Raise :class:`ValueError` on walk parameters no walk takes, a negative
+    seed or a cdf kind ``volume.estimate_cdf`` does not know, before any walk."""
     volume.check_walk(samples, burn_in, thinning)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, not {seed}")
     if cdf_kind not in volume.CDF_KINDS:
         raise ValueError(f"unknown cdf kind {cdf_kind!r}; known: {', '.join(volume.CDF_KINDS)}")
 
@@ -161,9 +163,8 @@ def check_rule(name: str, params) -> None:
         if key in params:
             try:
                 check(params[key])
-            except TypeError:
-                raise ValueError(f"rule {name!r} parameter {key!r} must be a number, "
-                                 f"not {type(params[key]).__name__}") from None
+            except TypeError as exc:
+                raise ValueError(f"rule {name!r} parameter {key!r} {exc}") from None
 
 
 def run_rule(name: str, pipe: Pipeline, **params) -> rules.RuleResult:
@@ -210,8 +211,13 @@ class ExperimentSpec:
         if self.seed is None:
             raise ValueError("an experiment seed is mandatory")
         _check_source(self.source)
-        _check_sampling(self.samples, self.burn_in, self.thinning, self.cdf_kind)
+        _check_sampling(self.samples, self.seed, self.burn_in, self.thinning, self.cdf_kind)
+        if self.num_instances < 1:
+            raise ValueError(f"experiment spec key 'instances' must be at least 1, "
+                             f"not {self.num_instances}")
         object.__setattr__(self, "rules", tuple(self.rules))
+        if not self.rules:
+            raise ValueError("experiment spec key 'rules' must list at least one rule")
 
     @staticmethod
     def from_json(text: str) -> "ExperimentSpec":

@@ -59,9 +59,14 @@ class VetoCertificate:
 
 @dataclass(frozen=True, eq=False)
 class QuantileCertificate:
+    """Max-quantile's level, at most 1 and a multiple of 1/N for the CDFs' N
+    samples.  The outcome meets each threshold only to the solver's
+    tolerance (``lp.FEAS_TOL``), so min_i F_i(return_i) can read one sample
+    below q*; ``samples_above`` says how many samples decide each agent's."""
+
     q_star: float  # every agent gets >= F_i^{-1}(q_star), their q_star-quantile
     thresholds: tuple[float, ...]
-    infeasible_above: float | None  # first grid level found infeasible, if any
+    samples_above: tuple[int, ...]  # per agent, its CDF samples above its return
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +172,7 @@ def veto_core(
         epsilon = min(0.05, 0.9 / n)
     if not 0.0 < epsilon < 1.0 / n:
         raise ValueError("epsilon must lie in (0, 1/n)")
-    order = tuple(range(n)) if order is None else tuple(int(i) for i in order)
+    order = tuple(range(n)) if order is None else _check_order(order)
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the agents")
     watch = _Stopwatch(samples_used=cloud.count)
@@ -204,15 +209,27 @@ def veto_core(
 def _real(value):
     """``value``, or :class:`TypeError` unless it is a real number (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"expected a number, not {type(value).__name__}")
+        raise TypeError(f"must be a number, not {type(value).__name__}")
     return value
 
 
-def _levels(epsilon: float, top: float) -> int:
+def _check_order(order) -> tuple[int, ...]:
+    """``order`` as a tuple of ints; :class:`TypeError` unless it is a list or
+    tuple of integers (a bool is not), :class:`ValueError` unless they are
+    distinct and nonnegative."""
+    if not isinstance(order, (list, tuple)) or any(
+            isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in order):
+        raise TypeError(f"must be a list of agent indices, not {order!r}")
+    if min(order, default=0) < 0 or len(set(order)) < len(order):
+        raise ValueError(f"order must list distinct agents, not {list(order)}")
+    return tuple(int(i) for i in order)
+
+
+def _levels(epsilon: float) -> int:
     """The number of steps of the grid {0, eps, ..., 1}; :class:`ValueError`
-    unless eps lies in (0, top] and 1/eps is whole, so the grid ends at 1."""
-    if not 0.0 < _real(epsilon) <= top:
-        raise ValueError(f"epsilon must lie in (0, {top:g}]")
+    unless eps lies in (0, 1] and 1/eps is whole, so the grid ends at 1."""
+    if not 0.0 < _real(epsilon) <= 1.0:
+        raise ValueError("epsilon must lie in (0, 1]")
     levels = 1.0 / epsilon
     if abs(levels - round(levels)) > 1e-9:
         raise ValueError("1/epsilon must be an integer")
@@ -228,7 +245,6 @@ def max_quantile(
     m: Momdp,
     poly: OccupancyPolytope,
     cdfs: Sequence[ReturnCdf],
-    epsilon: float = 0.01,
 ) -> RuleResult:
     """Largest q such that some outcome meets every agent's q-quantile.
 
@@ -236,42 +252,42 @@ def max_quantile(
     agent weakly prefers d to at least a q fraction of the polytope (by
     volume); a larger q is better.
 
-    Bisects q on the fixed grid {0, eps, 2 eps, ..., 1}, so 1/eps must be a
-    whole number.  Each probe is the welfare completion at its level; the
-    probe at the best feasible level is the outcome (q = 0 is not probed).
+    q runs over the CDFs' own resolution, the levels k/N of their N samples:
+    q = 1 is probed first, then k is bisected.  Each probe is the welfare
+    completion at its level; the probe at the best feasible level is the
+    outcome (q = 0 is not probed).
     """
-    grid = _levels(epsilon, 0.5)
-    watch = _Stopwatch(samples_used=cdfs[0].samples.size)
+    n = cdfs[0].samples.size
+    watch = _Stopwatch(samples_used=n)
     rewards = m.reward_vectors()
 
-    def thresholds_at(q: float) -> np.ndarray:
-        return np.array([volume.quantile_inverse(cdf, q) for cdf in cdfs])
+    def thresholds_at(k: int) -> np.ndarray:
+        return np.array([volume.quantile_inverse(cdf, k / n) for cdf in cdfs])
 
-    def outcome_at(q: float) -> OccupancyMeasure | None:
+    def outcome_at(k: int) -> OccupancyMeasure | None:
         try:
-            return lp.pareto_complete(poly, thresholds_at(q), rewards)
+            return lp.pareto_complete(poly, thresholds_at(k), rewards)
         except InfeasibleBounds:
             return None
 
-    q_star, infeasible_above = 1.0, None
-    point = outcome_at(1.0)
-    if point is None:  # q = 0 is always feasible; q = 1 just failed
-        lo, hi, infeasible_above = 0, grid, 1.0
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            probe = outcome_at(mid * epsilon)
-            if probe is None:
-                hi, infeasible_above = mid, mid * epsilon
-            else:
-                lo, point = mid, probe
-        q_star = lo * epsilon
-    tau = thresholds_at(q_star)
+    lo, hi, point = n, n + 1, outcome_at(n)
+    if point is None:  # level 0 is always feasible; level N just failed
+        lo, hi = 0, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        probe = outcome_at(mid)
+        if probe is None:
+            hi = mid
+        else:
+            lo, point = mid, probe
+    tau = thresholds_at(lo)
     if point is None:
         point = lp.pareto_complete(poly, tau, rewards)
     cert = QuantileCertificate(
-        q_star=float(q_star),
+        q_star=lo / n,
         thresholds=tuple(float(t) for t in tau),
-        infeasible_above=infeasible_above,
+        samples_above=tuple(int(n - cdf.samples.searchsorted(v, "right"))
+                            for cdf, v in zip(cdfs, rewards @ point.flat)),
     )
     return _finish(m, point, cert, watch)
 
@@ -381,7 +397,7 @@ def borda_milp(
     vectors.  Its LP relaxation, over knots past the modes rather than this
     grid, is :func:`borda_concave`.
     """
-    k_max = _levels(epsilon, 1.0)
+    k_max = _levels(epsilon)
     watch = _Stopwatch(samples_used=cdfs[0].samples.size)
     grid = np.arange(k_max + 1) * epsilon
     weights = np.diff([cdf.evaluate(grid) for cdf in cdfs], axis=1)  # [agent, level]
@@ -431,11 +447,12 @@ def borda_concave(
 
 
 # rule parameter checks that need no model, which harness.check_rule runs before any
-# walk; TypeError is a wrong type (veto-core's epsilon range and order need the agent count)
+# walk; TypeError is a wrong type, its message what the value must be (veto-core's
+# epsilon range and whether order is a permutation need the agent count)
 PARAMETER_CHECKS = {
-    veto_core: {"epsilon": lambda epsilon: epsilon is None or _real(epsilon)},
-    max_quantile: {"epsilon": lambda epsilon: _levels(epsilon, 0.5)},
+    veto_core: {"epsilon": lambda epsilon: epsilon is None or _real(epsilon),
+                "order": lambda order: order is None or _check_order(order)},
     alpha_approval: {"alpha": _check_alpha},
-    borda_milp: {"epsilon": lambda epsilon: _levels(epsilon, 1.0)},
+    borda_milp: {"epsilon": _levels},
 }
 

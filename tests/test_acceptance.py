@@ -360,6 +360,34 @@ def test_criterion_11_rule_comparison_direction():
             f"(gini {ginis}, {elapsed:.0f}s)")
 
 
+@pytest.mark.parametrize("seed", [2000, 2001, 2002])
+def test_max_quantile_leads_its_own_objective_on_cost_only_warehouses(seed):
+    """On the cost-only 3x4 family (the fourth agent serves no site) the
+    rules disagree, and no rule's outcome reaches a higher min_i F_i(r_i)
+    than max-quantile's, less the one sample of 1/N by which its outcome
+    may meet its thresholds only to solver tolerance."""
+    params = pa.WarehouseParams(3, 4, seed=seed, agent_sites=((0,), (1,), (2,), ()))
+    pipe = harness.prepare(pa.gen_warehouse(params), 50_000, seed=7,
+                           burn_in=20_000, thinning=16)
+
+    def level(returns):
+        return min(float(cdf.evaluate(v)) for cdf, v in zip(pipe.cdfs, returns))
+
+    quant = level(harness.run_rule("max-quantile", pipe).returns)
+    others = {}
+    for name, params in (("utilitarian", {}), ("egalitarian", {}), ("veto-core", {}),
+                         ("approval", {"alpha": 0.9}), ("plurality", {}),
+                         ("borda-milp", {}), ("borda-concave", {})):
+        try:
+            others[name] = level(harness.run_rule(name, pipe, **params).returns)
+        except pa.ConcaveRegionEmpty:
+            pass
+    best = max(others, key=others.get)
+    print(f"[cost-only {seed}] max-quantile min F {quant:.5f}, best other "
+          f"{best} {others[best]:.5f}")
+    assert quant >= others[best] - 1 / pipe.cdfs[0].samples.size, others
+
+
 def test_criterion_12_round_trips_and_determinism(tmp_path):
     # occupancy <-> policy round trip at 1e-7
     ok_round = True

@@ -118,8 +118,9 @@ class TestAggregate:
         assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("rule, flag, value, message", [
-        ("max-quantile", "--epsilon", 0.3, "1/epsilon must be an integer"),
-        ("max-quantile", "--epsilon", 0.6, "epsilon must lie in (0, 0.5]"),
+        ("max-quantile", "--epsilon", 0.01,
+         "rule 'max-quantile' takes no parameter 'epsilon'; accepted: none"),
+        ("borda-milp", "--epsilon", 1.5, "epsilon must lie in (0, 1]"),
         ("borda-milp", "--epsilon", 0.3, "1/epsilon must be an integer"),
         ("approval", "--alpha", 1.5, "alpha must lie in (0, 1]"),
     ])
@@ -254,6 +255,15 @@ class TestAggregate:
         assert capsys.readouterr().err == "error: ValueError: bad walk parameters\n"
         assert not (tmp_path / "c").exists()
 
+    def test_negative_seed_without_a_walk_exit_code(self, tmp_path, capsys):
+        momdp = tmp_path / "m.json"
+        run_cli("gen", "simplex", "--actions", 2, "--out", momdp)
+        code = run_cli("aggregate", "--momdp", momdp, "--rule", "utilitarian",
+                       "--seed", -1, "--out", tmp_path / "c")
+        assert code == 2
+        assert capsys.readouterr().err == "error: ValueError: seed must be nonnegative, not -1\n"
+        assert not (tmp_path / "c").exists()
+
     def test_budget_exit_code(self, tmp_path, monkeypatch):
         import polyagg.harness as harness_mod
 
@@ -338,11 +348,11 @@ class TestExperiment:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({
             "source": {"generator": "simplex", "params": {"actions": 2}}, "seed": 1,
-            "rules": [{"name": "max-quantile", "eps": 0.2}],
+            "rules": [{"name": "borda-milp", "eps": 0.2}],
         }))
         code = run_cli("experiment", "--spec", spec_path, "--out", tmp_path / "r")
         assert code == 2
-        assert capsys.readouterr().err == ("error: ValueError: rule 'max-quantile' takes no "
+        assert capsys.readouterr().err == ("error: ValueError: rule 'borda-milp' takes no "
                                            "parameter 'eps'; accepted: epsilon\n")
         assert not (tmp_path / "r").exists()
 
@@ -356,7 +366,7 @@ class TestExperiment:
         spec_path.write_text(json.dumps({
             "source": {"generator": "simplex", "params": {"actions": 3}}, "seed": 1,
             "samples": 500, "rules": [{"name": "utilitarian"},
-                                      {"name": "max-quantile", "epsilon": 0.3}],
+                                      {"name": "borda-milp", "epsilon": 0.3}],
         }))
         code = run_cli("experiment", "--spec", spec_path, "--out", tmp_path / "r")
         assert code == 2
@@ -429,7 +439,23 @@ class TestExperimentOutput:
          "ValueError: generator 'simplex' params key 'actions' has the wrong shape (float)\n"),
         ({"rules": [{"name": "approval", "alpha": "0.9"}]},
          "ValueError: rule 'approval' parameter 'alpha' must be a number, not str\n"),
-    ], ids=["nofile", "actions", "cdf", "actions-float", "alpha-str"])
+        ({"rules": [{"name": "max-quantile", "epsilon": 0.01}]},
+         "ValueError: rule 'max-quantile' takes no parameter 'epsilon'; accepted: none\n"),
+        ({"rules": [{"name": "veto-core", "order": [0.5, 1.7, 2.2]}]},
+         "ValueError: rule 'veto-core' parameter 'order' must be a list of agent indices, "
+         "not [0.5, 1.7, 2.2]\n"),
+        ({"rules": [{"name": "veto-core", "order": "210"}]},
+         "ValueError: rule 'veto-core' parameter 'order' must be a list of agent indices, "
+         "not '210'\n"),
+        ({"rules": [{"name": "veto-core", "order": [2, 0, 2]}]},
+         "ValueError: order must list distinct agents, not [2, 0, 2]\n"),
+        ({"instances": 0}, "ValueError: experiment spec key 'instances' must be at least 1, "
+                           "not 0\n"),
+        ({"rules": []}, "ValueError: experiment spec key 'rules' must list at least one rule\n"),
+        ({"seed": -3}, "ValueError: seed must be nonnegative, not -3\n"),
+    ], ids=["nofile", "actions", "cdf", "actions-float", "alpha-str", "max-quantile-epsilon",
+            "order-float", "order-str", "order-repeat", "instances-0", "rules-empty",
+            "seed-negative"])
     def test_failed_experiment_leaves_no_out_it_made(self, tmp_path, capsys, monkeypatch,
                                                      change, error):
         monkeypatch.setattr(volume, "sample_uniform", no_walk)

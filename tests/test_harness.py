@@ -220,7 +220,7 @@ class TestRunExperiment:
             harness.RuleSpec("best-rule-ever")
 
     @pytest.mark.parametrize("name, params, accepted", [
-        ("max-quantile", {"eps": 0.2}, "epsilon"),
+        ("max-quantile", {"epsilon": 0.01}, "none"),
         ("utilitarian", {"alpha": 0.3}, "none"),
         ("approval", {"epsilon": 0.1}, "alpha"),
         ("veto-core", {"alpha": 0.5, "order": [0, 1]}, "epsilon, order"),
@@ -267,14 +267,17 @@ class TestRunExperiment:
     @pytest.mark.parametrize("name, params", [
         ("approval", {"alpha": "0.9"}),
         ("approval", {"alpha": True}),
-        ("max-quantile", {"epsilon": [0.1]}),
         ("borda-milp", {"epsilon": "0.1"}),
         ("veto-core", {"epsilon": "0.1"}),
+        ("veto-core", {"order": "abc"}),
+        ("veto-core", {"order": [0.5, 1.7, 2.2]}),
+        ("veto-core", {"order": [1, True]}),
     ])
     def test_rule_parameter_of_the_wrong_type_names_itself(self, name, params):
         (key, value), = params.items()
-        message = re.escape(f"rule {name!r} parameter {key!r} must be a number, "
-                            f"not {type(value).__name__}") + "$"
+        must = (f"a list of agent indices, not {value!r}" if key == "order"
+                else f"a number, not {type(value).__name__}")
+        message = re.escape(f"rule {name!r} parameter {key!r} must be {must}") + "$"
         with pytest.raises(ValueError, match=message):
             harness.RuleSpec(name, params)
         doc = {"source": {"generator": "simplex", "params": {"actions": 2}},
@@ -284,7 +287,7 @@ class TestRunExperiment:
 
     def test_generator_numbers_take_integers(self):
         source = {"generator": "mis", "params": {"vertices": 3, "edge_prob": 1}}
-        harness.ExperimentSpec(source=source, rules=(), seed=1)
+        harness.ExperimentSpec(source=source, rules=(harness.RuleSpec("utilitarian"),), seed=1)
         assert harness._instantiate(source, 5).num_agents == 3
 
     def test_dropped_agents_recorded_per_instance(self):
@@ -378,10 +381,10 @@ class TestLazyWalk:
         assert len(out.rows) == 6 and not out.failures
 
     @pytest.mark.parametrize("walk", [
-        {"samples": 0}, {"burn_in": -1}, {"thinning": 0},
+        {"samples": 0}, {"burn_in": -1}, {"thinning": 0}, {"seed": -1},
     ])
     def test_walk_parameters_checked_without_a_walk(self, no_walk, walk):
-        bad = "count must be positive|bad walk parameters"
+        bad = "count must be positive|bad walk parameters|seed must be nonnegative"
         with pytest.raises(ValueError, match=bad):
             harness.prepare(pa.gen_simplex_instance(2), **{"samples": 100, "seed": 1, **walk})
         with pytest.raises(ValueError, match=bad):

@@ -44,6 +44,17 @@ def completes(poly, floors, rewards) -> bool:
     return True
 
 
+def assert_q_star_is_the_largest_level(pipe, cdfs):
+    """Max-quantile's q* on ``cdfs`` is k/N for their N samples, with k < N;
+    the thresholds at q* complete and those at (k + 1)/N do not."""
+    r, n = pipe.model.reward_vectors(), cdfs[0].samples.size
+    q = pa.max_quantile(pipe.model, pipe.poly, cdfs).certificate.q_star
+    k = round(q * n)
+    assert k / n == q and k < n
+    assert completes(pipe.poly, [pa.quantile_inverse(c, q) for c in cdfs], r)
+    assert not completes(pipe.poly, [pa.quantile_inverse(c, (k + 1) / n) for c in cdfs], r)
+
+
 def borda_score(result, cdfs, rewards):
     return float(sum(
         cdfs[i].evaluate(float(rewards[i] @ result.occupancy.flat))
@@ -126,6 +137,14 @@ class TestVetoCore:
                          epsilon=0.05, order=(0, 1, 2))
         assert np.array_equal(a.occupancy.flat, c.occupancy.flat)
         assert b.certificate.order == (2, 1, 0)
+
+    @pytest.mark.parametrize("order, error", [
+        ((0.5, 1.7, 2.2), TypeError), ((0, 1.0, 2), TypeError), ("210", TypeError),
+        ((True, 0, 2), TypeError), ((0, 1), ValueError), ((0, 1, 1), ValueError),
+    ])
+    def test_order_must_be_a_permutation_of_integers(self, random_pipe, order, error):
+        with pytest.raises(error, match="order|agent indices"):
+            pa.veto_core(random_pipe.model, random_pipe.poly, random_pipe.cloud, order=order)
 
     def test_loaded_cloud_gives_same_result_with_one_lp(self, simplex3_pipe, tmp_path):
         path = tmp_path / "cloud.csv"
@@ -214,26 +233,33 @@ class TestMaxQuantile:
         res = pa.max_quantile(simplex3_pipe.model, simplex3_pipe.poly,
                               list(simplex3_pipe.cdfs))
         cert = res.certificate
-        if cert.infeasible_above is not None:
-            assert cert.infeasible_above > cert.q_star
+        n = simplex3_pipe.cdfs[0].samples.size
+        assert 0 < cert.q_star < 1 and round(cert.q_star * n) / n == cert.q_star
         for i, t in enumerate(cert.thresholds):
             assert res.returns[i] >= t - 1e-6
 
-    def test_epsilon_must_divide_one(self, random_pipe):
-        # on a grid of 0.3 steps, level 0.9 would be read as q = 1
-        with pytest.raises(ValueError, match="1/epsilon must be an integer"):
-            pa.max_quantile(random_pipe.model, random_pipe.poly, list(random_pipe.cdfs),
-                            epsilon=0.3)
-
-    @pytest.mark.parametrize("epsilon", [0.5, 0.25, 0.1])
-    def test_q_star_is_the_largest_feasible_level(self, volumetric_pipes, epsilon):
+    def test_samples_above_counts_the_cloud(self, volumetric_pipes):
         for pipe in volumetric_pipes[:4]:
-            cdfs, r = list(pipe.cdfs), pipe.model.reward_vectors()
-            levels = [k * epsilon for k in range(round(1 / epsilon))] + [1.0]
-            feasible = [q for q in levels
-                        if completes(pipe.poly, [pa.quantile_inverse(c, q) for c in cdfs], r)]
-            res = pa.max_quantile(pipe.model, pipe.poly, cdfs, epsilon=epsilon)
-            assert res.certificate.q_star == max(feasible)
+            res = pa.max_quantile(pipe.model, pipe.poly, list(pipe.cdfs))
+            brute = [int((pipe.cloud.returns(r) > v).sum())
+                     for r, v in zip(pipe.model.reward_vectors(), res.returns)]
+            assert res.certificate.samples_above == tuple(brute)
+
+    @pytest.mark.parametrize("share", [0.5, 0.25, 0.1])
+    def test_q_star_is_the_largest_feasible_level(self, volumetric_pipes, share):
+        """At N = 10,000, 5,000 and 2,000 samples (every 2nd, 4th or 10th of
+        the sorted 20,000), the thresholds at q* complete and those one
+        level of 1/N above it do not."""
+        for pipe in volumetric_pipes[:4]:
+            assert_q_star_is_the_largest_level(pipe, [
+                pa.ReturnCdf(kind="empirical", samples=c.samples[::round(1 / share)])
+                for c in pipe.cdfs])
+
+    def test_logistic_q_star_is_the_largest_level(self):
+        pipe = harness.prepare(pa.random_momdp(3, 3, 3, seed=404), SAMPLES, seed=7,
+                               cdf_kind="logistic")
+        assert {c.kind for c in pipe.cdfs} == {"logistic"}
+        assert_q_star_is_the_largest_level(pipe, list(pipe.cdfs))
 
 
 class TestAlphaApproval:
@@ -440,7 +466,7 @@ def own_objective_runs(volumetric_pipes):
                 others[name] = harness.run_rule(name, pipe, **params).returns
             except pa.ConcaveRegionEmpty:
                 pass
-        out.append((pipe, harness.run_rule("max-quantile", pipe, epsilon=0.01),
+        out.append((pipe, harness.run_rule("max-quantile", pipe),
                     harness.run_rule("borda-milp", pipe, epsilon=0.05), others))
     return out
 
@@ -450,12 +476,10 @@ class TestOwnObjective:
     its own objective, read through the same CDFs."""
 
     def test_max_quantile_reaches_every_rules_level(self, own_objective_runs):
-        levels = [k * 0.01 for k in range(100)] + [1.0]   # as max_quantile bisects them
         for pipe, quant, borda, others in own_objective_runs:
             for name, r in {**others, "borda-milp": borda.returns}.items():
                 achieved = min(cdf.evaluate(v) for cdf, v in zip(pipe.cdfs, r))
-                best = max(q for q in levels if achieved >= q)
-                assert quant.certificate.q_star >= best, name
+                assert quant.certificate.q_star >= achieved, name
 
     def test_borda_milp_reaches_every_rules_rounded_score(self, own_objective_runs):
         grid = np.arange(21) * 0.05   # as borda_milp spells its levels
