@@ -8,8 +8,11 @@ A program is posed as ``min c @ x`` over the dense rows ``[a_ub; a_eq]``
 (``-inf <= a_ub x <= b_ub`` and ``a_eq x = b_eq``, laid out in column-major
 sparse order) and the caller's variable bounds, with the options scipy's
 ``linprog(method="highs")`` and ``milp`` set.  The bindings live in scipy's
-private module ``scipy.optimize._highspy._core`` (scipy >= 1.17).  There
-are three kinds of solve:
+private compiled module ``scipy.optimize._highspy._core`` (scipy >= 1.17).
+:func:`_scipy_extension` loads it from its file, and loads LAPACK and BLAS
+for :mod:`polyagg.volume` the same way, so that ``import polyagg`` never
+runs the ``scipy.optimize`` or ``scipy.linalg`` package.  There are three
+kinds of solve:
 
 - :func:`lp` solves one LP on a fresh HiGHS instance, cold.  Its results
   match ``linprog``'s bit for bit, without its Python layer (about 2 ms a
@@ -56,16 +59,50 @@ and with it, it closes them.
 from __future__ import annotations
 
 import contextlib
+import importlib.machinery
+import importlib.util
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize._highspy._core import (
-    HighsLp, HighsModelStatus, HighsOptions, HighsStatus, HighsVarType, MatrixFormat, _Highs,
-)
+import scipy
 
 from .errors import LpFailure
+
+
+def _scipy_extension(name):
+    """scipy's compiled module ``scipy.<name>``, loaded from its file
+    without running the ``__init__`` of any package above it.
+
+    Those ``__init__``s (``scipy.optimize``, ``scipy.linalg``) import far
+    more than the compiled modules polyagg calls: about 0.4 s and 40 MB a
+    process.  A module scipy has already imported is returned as it is.
+    Otherwise the module is loaded but left out of ``sys.modules`` (a
+    single-phase extension enters itself there while it loads), so a later
+    import of its package runs as usual, and CPython's extension cache
+    hands that import the same functions and types.
+    """
+    full = f"scipy.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    stem = os.path.join(os.path.dirname(scipy.__file__), *name.split("."))
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = stem + suffix
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(
+                full, path, loader=importlib.machinery.ExtensionFileLoader(full, path))
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(full, None)
+            return module
+    raise ImportError(f"scipy {scipy.__version__} has no compiled module {full}", name=full)
+
+
+_core = _scipy_extension("optimize._highspy._core")
+HighsLp, HighsModelStatus, HighsOptions, HighsStatus, HighsVarType, MatrixFormat, _Highs = (
+    _core.HighsLp, _core.HighsModelStatus, _core.HighsOptions, _core.HighsStatus,
+    _core.HighsVarType, _core.MatrixFormat, _core._Highs)
 
 # solves since import; rule implementations snapshot this to report how
 # many solves they triggered

@@ -121,14 +121,23 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _veto_order(text: str) -> list[int]:
+    """``--veto-order``'s agents, in order; an empty value is the empty order."""
+    try:
+        return [int(t) for t in text.split(",")] if text else []
+    except ValueError:
+        raise ValueError(f"--veto-order takes comma-separated agent indices such as 1,0,2, "
+                         f"not {text!r}") from None
+
+
 def _cmd_aggregate(args) -> int:
     params = {}
     if args.alpha is not None:
         params["alpha"] = args.alpha
     if args.epsilon is not None:
         params["epsilon"] = args.epsilon
-    if args.veto_order:
-        params["order"] = [int(t) for t in args.veto_order.split(",")]
+    if args.veto_order is not None:
+        params["order"] = _veto_order(args.veto_order)
     # a bad rule parameter fails before --out is made, a bad path or walk knob before the walk
     harness.check_rule(args.rule, params)
     m = load_momdp(args.momdp)

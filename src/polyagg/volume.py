@@ -14,9 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.linalg.blas import dger
-from scipy.optimize import least_squares
 
 from . import _solver
 from .errors import DegeneratePolytope
@@ -33,6 +30,9 @@ LOGISTIC_MAX_DEV = 0.05   # reject a fit whose cdf deviates more than this
 SWEEP_BLOCK_STEPS = 4096  # walk steps per block of random draws, before rounding
 AXIS_ZERO_TOL = 1e-14     # chart-axis entries this small never bound a chord
 MODE_BINS = 100           # histogram bins of mode_estimate
+
+dger = _solver._scipy_extension("linalg._fblas").dger
+_flapack = _solver._scipy_extension("linalg._flapack")
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,8 +230,13 @@ def _free_coordinates(basis):
     ``free`` in increasing order.
     """
     dim = basis.shape[1]
-    _, pivots = qr(basis.T, mode="r", pivoting=True)
-    free = np.sort(pivots[:dim])
+    if dim == 0:
+        return basis, np.zeros(0, dtype=np.intc)
+    # scipy.linalg.qr(basis.T, mode="r", pivoting=True): LAPACK's dgeqp3
+    # with the workspace its query asks for; jpvt counts from 1
+    work = _flapack.dgeqp3(basis.T, lwork=-1)[3]
+    pivots = _flapack.dgeqp3(basis.T, lwork=int(work[0]))[1]
+    free = np.sort(pivots[:dim] - 1)
     rebased = basis @ np.linalg.inv(basis[free])
     rebased[free] = np.eye(dim)
     return rebased, free
@@ -500,6 +505,7 @@ def _fit_generalized_logistic(sorted_values):
     def residual(theta):
         return _logistic(v, *theta) - p
 
+    from scipy.optimize import least_squares  # 0.4 s to import; only logistic fits need it
     try:
         fit = least_squares(
             residual, x0,

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from scipy.optimize._highspy._core import HighsModelStatus
 
+# polyagg first, so that the suite runs on the compiled scipy modules its
+# loader reads from file, and linprog/milp checks import scipy after it
 import polyagg as pa
 from polyagg import _solver
+from polyagg._solver import HighsModelStatus
 
 
 @pytest.fixture

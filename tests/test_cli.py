@@ -83,6 +83,30 @@ class TestAggregate:
         doc = json.loads((out_dir / "result.json").read_text())
         assert doc["result"]["certificate"]["order"] == [1, 0]
 
+    @pytest.mark.parametrize("order", ["a,b", "2,,1", "1;0"])
+    def test_malformed_veto_order_fails_before_out(self, tmp_path, capsys, order):
+        momdp = tmp_path / "m.json"
+        run_cli("gen", "simplex", "--actions", 2, "--out", momdp)
+        code = run_cli("aggregate", "--momdp", momdp, "--rule", "veto-core",
+                       "--veto-order", order, "--seed", 5, "--samples", 500,
+                       "--out", tmp_path / "veto")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: ValueError: --veto-order takes comma-separated agent indices such as "
+            f"1,0,2, not {order!r}\n")
+        assert not (tmp_path / "veto").exists()
+
+    def test_empty_veto_order_is_an_order(self, tmp_path, capsys):
+        momdp = tmp_path / "m.json"
+        run_cli("gen", "simplex", "--actions", 2, "--out", momdp)
+        code = run_cli("aggregate", "--momdp", momdp, "--rule", "veto-core",
+                       "--veto-order", "", "--seed", 5, "--samples", 500,
+                       "--out", tmp_path / "veto")
+        assert code == 2
+        assert capsys.readouterr().err == ("error: ValueError: order must be a permutation "
+                                           "of the agents\n")
+        assert not (tmp_path / "veto").exists()
+
     def test_infeasible_input_exit_code(self, tmp_path):
         m = pa.gen_simplex_instance(2).replace_rewards(np.full((1, 1, 2), 3.0))
         momdp = tmp_path / "flat.json"

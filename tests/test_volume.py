@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.blas import dger
@@ -386,6 +387,41 @@ class TestChartCoordinates:
         assert cloud.coords.shape == (3000, chart.dim)
         for r in np.random.default_rng(0).random((3, poly.dim)):
             assert np.max(np.abs(cloud.returns(r) - cloud.points @ r)) <= 1e-12
+
+    @pytest.mark.parametrize("kind, arg", [
+        *[("warehouse", seed) for seed in range(2000, 2005)],
+        *[("simplex", actions) for actions in (3, 4, 5)],
+        ("transient", None), ("two_cycle", None)])
+    def test_free_coordinates_match_scipy_qr(self, kind, arg, transient_53, two_cycle,
+                                             monkeypatch):
+        # LAPACK's dgeqp3, called directly, picks the rows scipy.linalg.qr
+        # picks, so every chart is the one scipy's pivoted QR gives, bit for bit
+        poly = build_polytope({
+            "warehouse": lambda: pa.gen_warehouse(pa.WarehouseParams(3, 4, seed=arg)),
+            "simplex": lambda: pa.gen_simplex_instance(arg),
+            "transient": lambda: transient_53,
+            "two_cycle": lambda: two_cycle,
+        }[kind]())
+        bases = []
+        rebase = volume._free_coordinates
+
+        def spy(basis):
+            bases.append(basis)
+            return rebase(basis)
+
+        monkeypatch.setattr(volume, "_free_coordinates", spy)
+        chart = pa.affine_hull(poly)
+        assert len(bases) == 1
+        basis = bases[0]
+        dim = basis.shape[1]
+        assert (dim == 0) == (kind == "two_cycle")
+        _, pivots = scipy.linalg.qr(basis.T, mode="r", pivoting=True)
+        free = np.sort(pivots[:dim])
+        rebased = basis @ np.linalg.inv(basis[free])
+        rebased[free] = np.eye(dim)
+        assert chart.free.dtype == free.dtype and np.array_equal(chart.free, free)
+        assert chart.basis.shape == rebased.shape
+        assert chart.basis.tobytes() == rebased.tobytes()
 
     def test_loaded_returns_bitwise(self, tmp_path, simplex3):
         poly = build_polytope(simplex3)
